@@ -139,9 +139,10 @@ def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharac
     char = GradedCharacter.from_weight(lam.finite, k, lam.degree)
     for i in reversed(word):
         char = demazure_operator(rs, i, char)
-    assert char.coefficient(mu, k, 0) == 1
-    assert all(g >= 0 for (_, _, g) in char.terms)
-    assert all(c > 0 for c in char.terms.values())
+    if (char.coefficient(mu, k, 0) != 1 or any(g < 0 for (_, _, g) in char.terms)
+            or any(c <= 0 for c in char.terms.values())):
+        raise RuntimeError("character of %r at level %d is not normalised and positive"
+                           % (mu, k))
     return char
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -96,6 +97,33 @@ def test_string_lengths_and_inverse_laws():
             assert (up is not None) == (e >= 1)
             if up is not None:
                 assert root_operator_f(A2, i, up) == v
+
+
+IDENTITY_SLICE = [("A", 3, (1, 0, 1)), ("A", 3, (2, 1, 1)), ("B", 3, (1, 0, 1)),
+                  ("B", 3, (1, 1, 1)), ("C", 3, (1, 1, 0)), ("C", 3, (2, 1, 1)),
+                  ("D", 4, (0, 1, 0, 0)), ("D", 4, (1, 0, 1, 1)),
+                  ("F", 4, (1, 0, 0, 0)), ("F", 4, (0, 0, 1, 0)),
+                  ("G", 2, (2, 1)), ("G", 2, (1, 2))]
+
+
+@pytest.mark.parametrize("family,rank,lam", IDENTITY_SLICE,
+                         ids=["%s%d-%s" % (f, r, "".join(map(str, lam)))
+                              for f, r, lam in IDENTITY_SLICE])
+def test_crystal_character_identities(family, rank, lam):
+    rs = root_system(family, rank)
+    b = build_crystal(rs, lam)
+    # the vertex weights are the weights of the irreducible, with multiplicity
+    want = {fin: mult for (fin, _, _), mult in finite_character(rs, lam).terms.items()}
+    assert collections.Counter(v.weight() for v in b.vertices) == want
+    for v in b.vertices:
+        for i in range(1, rank + 1):
+            assert phi(rs, i, v) - eps(rs, i, v) == v.weight()[i - 1]
+            down = root_operator_f(rs, i, v)
+            if down is not None:
+                assert root_operator_e(rs, i, down) == v
+            up = root_operator_e(rs, i, v)
+            if up is not None:
+                assert root_operator_f(rs, i, up) == v
 
 
 def test_build_crystal_vector_rep():

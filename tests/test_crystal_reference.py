@@ -1,0 +1,128 @@
+"""Differential test of the integer path crystal against the earlier
+Fraction implementation, kept verbatim in ``fraction_crystal``."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+import fraction_crystal as ref
+from demazure import crystal
+from demazure.rootdata import root_system
+
+GRID = [(family, rank, lam)
+        for family, rank in [("A", 1), ("A", 2), ("C", 2), ("B", 2)]
+        for lam in itertools.product(range(4), repeat=rank)]
+SMALL = [("G", 2, (1, 1)), ("G", 2, (2, 0)), ("B", 3, (1, 0, 1)),
+         ("C", 3, (0, 1, 1)), ("D", 4, (1, 0, 0, 1)), ("F", 4, (0, 0, 0, 1))]
+
+
+def same_graph(new, old):
+    assert [v.steps for v in new.vertices] == [v.steps for v in old.vertices]
+    index = {v: pos for pos, v in enumerate(new.vertices)}
+    old_index = {v: pos for pos, v in enumerate(old.vertices)}
+    assert [(index[u], index[v], i) for u, v, i in new.edges] == \
+        [(old_index[u], old_index[v], i) for u, v, i in old.edges]
+    assert crystal.to_dot(new) == ref.to_dot(old)
+
+
+def same_operators(rs, path):
+    """phi, eps, e_i and f_i agree on one path, including raised errors."""
+    old = ref.Path(path.steps, path.rank)
+    for i in range(1, rs.rank + 1):
+        assert crystal.phi(rs, i, path) == ref.phi(rs, i, old)
+        assert crystal.eps(rs, i, path) == ref.eps(rs, i, old)
+        for new_op, old_op in [(crystal.root_operator_e, ref.root_operator_e),
+                               (crystal.root_operator_f, ref.root_operator_f)]:
+            try:
+                want = old_op(rs, i, old)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    new_op(rs, i, path)
+                continue
+            got = new_op(rs, i, path)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.steps == want.steps
+                assert got == crystal.Path(want.steps, rs.rank)
+
+
+@pytest.mark.parametrize("family,rank,lam", GRID + SMALL,
+                         ids=["%s%d-%s" % (f, r, "".join(map(str, lam)))
+                              for f, r, lam in GRID + SMALL])
+def test_build_crystal_matches_fraction_reference(family, rank, lam):
+    rs = root_system(family, rank)
+    new = crystal.build_crystal(rs, lam)
+    same_graph(new, ref.build_crystal(rs, lam))
+    if len(new.vertices) <= 64:
+        for v in new.vertices:
+            same_operators(rs, v)
+            assert isinstance(crystal.phi(rs, 1, v), int)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
+                                         ("A", 3)])
+def test_tensor_of_fundamentals_matches_fraction_reference(family, rank):
+    rs = root_system(family, rank)
+    fundamentals = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    for a, b in itertools.product(fundamentals, repeat=2):
+        new = crystal.tensor_crystal(rs, crystal.build_crystal(rs, a),
+                                     crystal.build_crystal(rs, b))
+        old = ref.tensor_crystal(rs, ref.build_crystal(rs, a), ref.build_crystal(rs, b))
+        same_graph(new, old)
+        assert new.highest.steps == old.highest.steps
+
+
+# rational paths that are not LS paths: off-lattice corners, zigzags and
+# windows that dip, so that splits need a larger denominator or raise
+HANDMADE = [
+    ("A", 2, ((1, 0), (Fraction(1, 2), 0))),
+    ("A", 2, ((Fraction(1, 3), 0), (Fraction(-1, 2), Fraction(1, 2)))),
+    ("A", 2, ((Fraction(5, 2), Fraction(-1, 3)), (Fraction(-3, 4), 1))),
+    ("A", 2, ((-1, 1), (1, -1), (Fraction(3, 2), 0))),
+    ("A", 2, ((Fraction(-1, 2), 0), (Fraction(7, 3), Fraction(1, 5)))),
+    ("B", 2, ((Fraction(2, 3), Fraction(1, 3)), (Fraction(-1, 7), 2), (1, -1))),
+    ("C", 2, ((0, Fraction(-1, 2)), (Fraction(3, 5), Fraction(4, 3)))),
+    ("G", 2, ((Fraction(1, 2), Fraction(3, 2)), (Fraction(-5, 3), 1), (2, 0))),
+    ("A", 1, ((Fraction(3, 2),), (Fraction(-1, 3),), (Fraction(5, 6),))),
+    ("A", 1, ((Fraction(1, 2),), (Fraction(-2, 1),), (Fraction(5, 2),))),
+    ("A", 3, ((Fraction(1, 2), 0, Fraction(-1, 3)), (0, Fraction(5, 4), 0),
+              (Fraction(-3, 2), 1, 1))),
+]
+
+
+@pytest.mark.parametrize("family,rank,steps", HANDMADE)
+def test_rational_paths_match_fraction_reference(family, rank, steps):
+    rs = root_system(family, rank)
+    path = crystal.Path(steps, rank)
+    old = ref.Path(steps, rank)
+    assert path.steps == old.steps
+    assert repr(path) == repr(old)
+    assert path.endpoint() == old.endpoint()
+    same_operators(rs, path)
+    # walk down and up the strings, comparing every path on the way
+    for i in range(1, rank + 1):
+        for op in (crystal.root_operator_f, crystal.root_operator_e):
+            p = path
+            for _ in range(4):
+                try:
+                    p = op(rs, i, p)
+                except ValueError:
+                    break
+                if p is None:
+                    break
+                same_operators(rs, p)
+
+
+def test_equal_lines_are_equal_paths():
+    a = crystal.Path(((1, 0), (Fraction(1, 2), 0), (0, 0), (-1, 1)), 2)
+    b = crystal.Path(((Fraction(3, 2), 0), (Fraction(-1, 3), Fraction(1, 3)),
+                      (Fraction(-2, 3), Fraction(2, 3))), 2)
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.runs) == (2, ((3, (1, 0)), (2, (-1, 1))))
+    c = crystal.Path(((Fraction(1, 2), 0),), 2).concat(crystal.Path(((1, 0),), 2))
+    assert c == crystal.Path.straight((Fraction(3, 2), 0))
+    assert (c.den, c.runs) == (2, ((3, (1, 0)),))
+    # halves that merge into a whole step reduce the denominator
+    d = crystal.Path(((Fraction(1, 2), 1), (Fraction(1, 2), 1)), 2)
+    assert (d.den, d.runs) == (1, ((1, (1, 2)),))

@@ -1,0 +1,67 @@
+"""Library invariants raise real exceptions, so they hold under ``python -O``,
+which strips ``assert`` statements."""
+
+import os
+import subprocess
+import sys
+
+import demazure
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(demazure.__file__)))
+
+# each check runs in the -O interpreter and prints "<name> <exception type>"
+SCRIPT = r'''
+import sys
+from fractions import Fraction
+
+import demazure.characters as ch
+from demazure.crystal import CrystalGraph, Path, demazure_subcrystal, tensor_crystal
+from demazure.rootdata import root_system
+
+A1, A2 = root_system("A", 1), root_system("A", 2)
+u, v, w = Path.straight((1, 0)), Path.straight((2, 0)), Path((), 2)
+GC = ch.GradedCharacter
+MU, K = (-2,), 1   # a non-dominant weight, so the operator word is not empty
+BAD = {
+    "unnormalised": GC({(MU, K, 0): 2}),
+    "negative-grade": GC({(MU, K, 0): 1, (MU, K, -1): 1}),
+    "negative-coefficient": GC({(MU, K, 0): 1, ((0,), K, 0): -1}),
+}
+
+def character_check(name):
+    ch.demazure_operator = lambda rs, i, char: BAD[name]
+    return ch.demazure_character(A1, MU, K)
+
+CHECKS = {
+    "weight": lambda: Path(((Fraction(1, 2), 0),), 2).weight(),
+    "concat": lambda: u.concat(Path.straight((1,))),
+    # (1,0)+(1,0) and (2,0)+() are the same broken line
+    "tensor": lambda: tensor_crystal(A2, CrystalGraph((u, v), (), None),
+                                     CrystalGraph((u, w), (), None)),
+    "arrows": lambda: demazure_subcrystal(
+        A2, CrystalGraph((u, v, w), ((u, v, 1), (u, w, 1)), u), (), (1, 0)),
+}
+CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
+
+print("optimize", sys.flags.optimize)
+for name, check in CHECKS.items():
+    try:
+        check()
+        print(name, "none")
+    except Exception as exc:
+        print(name, type(exc).__name__)
+'''
+
+
+def test_invariants_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    got = dict(line.split() for line in out.splitlines())
+    assert got == {
+        "optimize": "1",
+        "weight": "ValueError", "concat": "ValueError",
+        "tensor": "ValueError", "arrows": "ValueError",
+        "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
+        "negative-coefficient": "RuntimeError",
+    }
