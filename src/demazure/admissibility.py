@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .rootdata import Root, RootSystem
-from .weights import finite_dominance
+from .weights import finite_dominance, relation_signs
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,6 @@ def is_preadmissible(rs: RootSystem, mu, split):
     return not witnesses, tuple(witnesses)
 
 
-def _applicable_signs(pair: int):
-    if pair > 0:
-        return ("-",)
-    if pair < 0:
-        return ("+",)
-    return ("+", "-")
-
-
 def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
     values = tuple((-1 if sign == "+" else 1) * rs.pairing(part, root)
                    for part in split)
@@ -145,7 +137,7 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
         for root in rs.positive_roots:
             pair = rs.pairing(mu, root)
             d = rs.d(root)
-            for sign in _applicable_signs(pair):
+            for sign in relation_signs(pair):
                 prof = root_profile(rs, split, root, sign)
                 cond_a = prof.m(r) * k > prof.weighted_count()
                 cond_b = None
@@ -171,7 +163,7 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     stop = 1
     for root in rs.positive_roots:
         pair = rs.pairing(mu, root)
-        for sign in _applicable_signs(pair):
+        for sign in relation_signs(pair):
             stop = max(stop, root_profile(rs, split, root, sign).x)
     if r_max is not None:
         stop = min(stop, r_max)
@@ -275,7 +267,7 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
             split = balanced_split(rs, lam, k)
             profs = [root_profile(rs, split, root, sign)
                      for root in rs.positive_roots
-                     for sign in _applicable_signs(rs.pairing(lam, root))]
+                     for sign in relation_signs(rs.pairing(lam, root))]
             t_max = max(p.t for p in profs)
             escape = any(p.t == 2 and p.m(1) == 1 for p in profs)
             adm = is_r_admissible(rs, lam, split, 1).admissible

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .admissibility import AdmissibilityReport, is_r_admissible
 from .rootdata import RootSystem
 from .weights import AffineWeight, dominance_algorithm
 
@@ -100,30 +101,23 @@ class GradedCharacter:
 def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCharacter:
     if not 0 <= i <= rs.rank:
         raise ValueError("node %r out of range" % (i,))
-    theta_w = rs.root_weight(rs.theta) if i == 0 else None
-    alpha_w = None if i == 0 else rs.root_weight(rs.simple_root(i))
+    # finite part and grade drop of alpha_i; alpha_0 = delta - theta
+    if i == 0:
+        alpha_w, grade_drop = tuple(-t for t in rs.theta_weight), 1
+    else:
+        alpha_w, grade_drop = tuple(row[i - 1] for row in rs.cartan), 0
     out = {}
-
-    def bump(fin, lvl, grade, j, mult):
-        # move j steps down the alpha_i string (j may be negative)
-        if i == 0:
-            key = (tuple(f + j * t for f, t in zip(fin, theta_w)), lvl, grade - j)
-        else:
-            key = (tuple(f - j * a for f, a in zip(fin, alpha_w)), lvl, grade)
-        out[key] = out.get(key, 0) + mult
-
     for (fin, lvl, grade), mult in char.terms.items():
-        if i == 0:
-            m = lvl - rs.pairing(fin, rs.theta)
-        else:
-            m = rs.pairing(fin, rs.simple_root(i))
+        m = lvl - rs.pairing(fin, rs.theta) if i == 0 else fin[i - 1]
+        # j steps down the alpha_i string; m == -1 contributes nothing
         if m >= 0:
-            for j in range(m + 1):
-                bump(fin, lvl, grade, j, mult)
-        elif m <= -2:
-            for j in range(1, -m):
-                bump(fin, lvl, grade, -j, -mult)
-        # m == -1 contributes nothing
+            js, sign = range(m + 1), 1
+        else:
+            js, sign = range(-1, m, -1), -1
+        for j in js:
+            key = (tuple(f - j * a for f, a in zip(fin, alpha_w)), lvl,
+                   grade - j * grade_drop)
+            out[key] = out.get(key, 0) + sign * mult
     return GradedCharacter(out)
 
 
@@ -159,7 +153,7 @@ def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> G
     for i in nodes:
         if not 1 <= i <= rs.rank:
             raise ValueError("node %r out of range" % (i,))
-        if rs.pairing(finite, rs.simple_root(i)) < 0:
+        if finite[i - 1] < 0:
             raise ValueError("weight not dominant on nodes %r" % (nodes,))
     char = GradedCharacter.from_weight(finite, level, grade)
     for _ in range(10 ** 4):
@@ -223,7 +217,7 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
             if mult < 0:
                 raise ValueError("negative multiplicity at %r grade %d" % (fin, grade))
             for i in nodes:
-                if rs.pairing(fin, rs.simple_root(i)) < 0:
+                if fin[i - 1] < 0:
                     raise ValueError("maximal weight %r not dominant on nodes %r"
                                      % (fin, nodes))
             irrep = parabolic_character(rs, fin, nodes, level=lvl, grade=grade)
@@ -246,7 +240,7 @@ class EmbeddingCertificate:
     split: tuple
     r: int
     certified: bool
-    split_admissible: bool
+    report: AdmissibilityReport
     failures: tuple  # (finite, grade, lhs multiplicity, rhs multiplicity)
     lhs: GradedCharacter
     rhs: GradedCharacter
@@ -254,6 +248,10 @@ class EmbeddingCertificate:
     @property
     def k(self):
         return len(self.split)
+
+    @property
+    def split_admissible(self):
+        return self.report.admissible
 
     def verdict(self):
         return "Certified" if self.certified else "Violation"
@@ -265,12 +263,10 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertifi
         char(mu, r*k)  <=  char(mu_1, r) * ... * char(mu_k, r)
 
     for a splitting mu = mu_1 + ... + mu_k.  Both extremal coefficients at
-    (mu, grade 0) must equal 1.  ``split_admissible`` records whether the
-    split passes the r-admissibility test; the comparison itself runs either
-    way, so an inadmissible split can still be probed for violations.
+    (mu, grade 0) must equal 1.  ``report`` is the r-admissibility report of
+    the split; the comparison itself runs either way, so an inadmissible
+    split can still be probed for violations.
     """
-    from .admissibility import is_r_admissible
-
     mu = tuple(mu)
     split = tuple(tuple(p) for p in split)
     report = is_r_admissible(rs, mu, split, r)
@@ -292,5 +288,5 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertifi
                          rhs.coefficient(mu, r * k, 0)))
     return EmbeddingCertificate(mu=mu, split=split, r=r,
                                 certified=not failures,
-                                split_admissible=report.admissible,
+                                report=report,
                                 failures=tuple(failures), lhs=lhs, rhs=rhs)

@@ -229,21 +229,20 @@ def _cmd_char(cfg: RunConfig) -> int:
 def _cmd_embed_check(cfg: RunConfig) -> int:
     a = cfg.args
     cert = embedding_certificate(cfg.rs, a.mu, a.split, a.r)
-    rep = is_r_admissible(cfg.rs, a.mu, a.split, a.r)
-    ok = cert.certified and rep.admissible
+    ok = cert.certified and cert.split_admissible
     _emit({
         "status": "Certified" if ok else "Violation",
         "mu": list(cert.mu),
         "split": [list(p) for p in cert.split],
         "r": cert.r,
         "k": cert.k,
-        "split_admissible": rep.admissible,
+        "split_admissible": cert.split_admissible,
         "admissibility_violations": [
             {"root": list(rec.profile.root.coords),
              "sign": rec.profile.sign,
              "condition_a": rec.condition_a,
              "condition_b": rec.condition_b}
-            for rec in rep.failures],
+            for rec in cert.report.failures],
         "character_failures": [
             {"wt": list(fin), "grade": grade, "need": need, "have": have}
             for fin, grade, need, have in cert.failures],
@@ -284,6 +283,7 @@ def _cmd_crystal(cfg: RunConfig) -> int:
             # configuration error
             print("error: %s" % exc, file=sys.stderr)
             return 1
+    pieces = None if a.decompose is None else crystal_decomposition(b, a.decompose)
     index = {v: pos for pos, v in enumerate(b.vertices)}
     if a.dot is not None:
         text = to_dot(b)
@@ -299,18 +299,17 @@ def _cmd_crystal(cfg: RunConfig) -> int:
             "edges": [[index[u], index[v], i] for u, v, i in b.edges],
             "highest": index.get(b.highest),
         }
-        if a.decompose is not None:
+        if pieces is not None:
             out["decomposition"] = [
                 {"weight": list(piece.weight), "size": piece.size,
                  "count": piece.count}
-                for piece in crystal_decomposition(b, a.decompose)]
+                for piece in pieces]
         _emit(out)
     elif a.dot is None:
         print("%d vertices, %d edges" % (len(b.vertices), len(b.edges)))
-        if a.decompose is not None:
-            for piece in crystal_decomposition(b, a.decompose):
-                print("source %s  size %d  count %d"
-                      % (piece.weight, piece.size, piece.count))
+        for piece in pieces or ():
+            print("source %s  size %d  count %d"
+                  % (piece.weight, piece.size, piece.count))
     return 0
 
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .rootdata import Root, RootSystem
-
-SIGNS = ("+", "-")
+from .weights import relation_signs
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,8 @@ class PFamily:
 
     def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
         """(root, sign) combinations whose relations are imposed."""
-        out = []
-        for root in self.rs.positive_roots:
-            pair = self.rs.pairing(self.mu, root)
-            if pair <= 0:
-                out.append((root, "+"))
-            if pair >= 0:
-                out.append((root, "-"))
-        return tuple(out)
+        return tuple((root, sign) for root in self.rs.positive_roots
+                     for sign in relation_signs(self.rs.pairing(self.mu, root)))
 
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
@@ -409,9 +402,7 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
         pair = rs.pairing(mu, root)
         d = rs.d(root)
         step = d * k
-        for sign in SIGNS:
-            if (sign == "+" and pair > 0) or (sign == "-" and pair < 0):
-                continue
+        for sign in relation_signs(pair):
             x = -pair if sign == "+" else pair
             if x > 0:
                 s, m = sm_pair(x, step)

@@ -10,7 +10,10 @@ Conventions used throughout the package:
   sit at the high end of the chain in types B and G, the long root in
   type C; in types E the branch node 2 hangs off node 4),
 * the Cartan matrix is stored as A[i][j] = alpha_j(h_i), so column j
-  holds the fundamental coordinates of alpha_j.
+  holds the fundamental coordinates of alpha_j,
+* the pairing of a weight mu with the simple coroot h_i is its
+  coordinate mu[i-1], and ``theta_weight`` holds the fundamental
+  coordinates of the highest root theta.
 
 Everything is exact integer (or Fraction) arithmetic; no floats.
 """
@@ -159,7 +162,8 @@ class RootSystem:
         if heights.count(max(heights)) != 1:
             raise AssertionError("highest root not unique")
         self.theta = self.positive_roots[-1]
-        if self._d[self.theta] != 1 or any(c < 0 for c in self.root_weight(self.theta)):
+        self.theta_weight: Weight = self.root_weight(self.theta)
+        if self._d[self.theta] != 1 or any(c < 0 for c in self.theta_weight):
             raise AssertionError("highest root must be long and dominant")
         self._inv_cartan: tuple[tuple[Fraction, ...], ...] | None = None
 

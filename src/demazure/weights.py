@@ -36,6 +36,16 @@ def sign_sets(rs: RootSystem, mu) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     return plus, minus
 
 
+def relation_signs(pair: int) -> tuple[str, ...]:
+    """Signs of the relations imposed at a root alpha with pair = mu(h_alpha):
+    '+' when pair <= 0, '-' when pair >= 0, both ('+' first) when it is 0."""
+    if pair > 0:
+        return ("-",)
+    if pair < 0:
+        return ("+",)
+    return ("+", "-")
+
+
 def affine_pairing(rs: RootSystem, w: AffineWeight, i: int) -> int:
     """Pairing of w with the coroot h_i, i in 0..rank."""
     if i == 0:
@@ -47,14 +57,27 @@ def affine_reflect(rs: RootSystem, i: int, w: AffineWeight) -> AffineWeight:
     """Simple affine reflection s_i, i in 0..rank.  Preserves the level."""
     if i == 0:
         m = affine_pairing(rs, w, 0)
-        theta = rs.root_weight(rs.theta)
-        finite = tuple(c + m * t for c, t in zip(w.finite, theta))
+        finite = tuple(c + m * t for c, t in zip(w.finite, rs.theta_weight))
         return AffineWeight(finite, w.level, w.degree - m)
     return AffineWeight(rs.reflect(i, w.finite), w.level, w.degree)
 
 
 def is_affine_dominant(rs: RootSystem, w: AffineWeight) -> bool:
     return all(affine_pairing(rs, w, i) >= 0 for i in range(rs.rank + 1))
+
+
+def _walk(rs: RootSystem, w, nodes, pairing, reflect, pick):
+    """Reflect w at a node of negative pairing until none is left; return
+    (w, word) with the nodes in the order they were applied."""
+    word: list[int] = []
+    for _ in range(_STEP_LIMIT):
+        negative = [i for i in nodes if pairing(rs, w, i) < 0]
+        if not negative:
+            return w, tuple(word)
+        i = negative[0] if pick is None else pick(negative)
+        w = reflect(rs, i, w)
+        word.append(i)
+    raise RuntimeError("dominance walk exceeded step limit")
 
 
 def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
@@ -68,15 +91,7 @@ def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
     """
     if w.level < 1:
         raise ValueError("dominance walk needs level >= 1")
-    word: list[int] = []
-    for _ in range(_STEP_LIMIT):
-        negative = [i for i in range(rs.rank + 1) if affine_pairing(rs, w, i) < 0]
-        if not negative:
-            return w, tuple(word)
-        i = negative[0] if pick is None else pick(negative)
-        w = affine_reflect(rs, i, w)
-        word.append(i)
-    raise RuntimeError("dominance walk exceeded step limit")
+    return _walk(rs, w, range(rs.rank + 1), affine_pairing, affine_reflect, pick)
 
 
 def finite_dominance(rs: RootSystem, mu):
@@ -85,12 +100,6 @@ def finite_dominance(rs: RootSystem, mu):
     Returns (lam, word) with rs.weyl_apply(word, mu) == lam; the inverse
     word (reversed) carries lam back to mu.
     """
-    steps: list[int] = []
-    for _ in range(_STEP_LIMIT):
-        negative = [i for i in range(1, rs.rank + 1) if mu[i - 1] < 0]
-        if not negative:
-            return mu, tuple(reversed(steps))
-        i = negative[0]
-        mu = rs.reflect(i, mu)
-        steps.append(i)
-    raise RuntimeError("dominance walk exceeded step limit")
+    lam, steps = _walk(rs, mu, range(1, rs.rank + 1), lambda _, mu, i: mu[i - 1],
+                       RootSystem.reflect, None)
+    return lam, steps[::-1]

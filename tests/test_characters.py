@@ -228,6 +228,13 @@ def test_embedding_certificate_inadmissible_flag():
     assert cert3.split_admissible and cert3.certified
 
 
+def test_embedding_certificate_keeps_report():
+    for split, r in [(((1, 1), (1, 0)), 1), (((1, 1), (1, 0)), 2), (((2, 0), (0, 1)), 1)]:
+        cert = embedding_certificate(C2, (2, 1), split, r)
+        assert cert.report == is_r_admissible(C2, (2, 1), split, r)
+        assert cert.split_admissible == cert.report.admissible
+
+
 def test_embedding_certificate_balanced_grid():
     rng = random.Random(16)
     for _ in range(12):

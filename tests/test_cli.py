@@ -134,6 +134,26 @@ def test_embed_check_violation_names_root(capsys):
     assert [v["root"] for v in data["admissibility_violations"]] == [[1, 1]]
 
 
+def test_embed_check_runs_admissibility_once(capsys, monkeypatch):
+    import demazure.admissibility
+    import demazure.characters
+    import demazure.cli
+
+    calls = []
+    original = demazure.admissibility.is_r_admissible
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (demazure.admissibility, demazure.characters, demazure.cli):
+        monkeypatch.setattr(module, "is_r_admissible", counted)
+    code, _ = run(capsys, "embed-check", "--type", "C", "--rank", "2",
+                  "--mu", "2,1", "--split", "1,1|1,0", "--r", "1")
+    assert code == 1
+    assert len(calls) == 1
+
+
 def test_embed_check_certified(capsys):
     code, out = run(capsys, "embed-check", "--type", "C", "--rank", "2",
                     "--mu", "2,1", "--split", "1,1|1,0", "--r", "2")
@@ -169,6 +189,16 @@ def test_crystal_json_and_dot(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("digraph crystal {")
     assert '[label="1"]' in text and '[label="(1, 0)"]' in text
+
+
+@pytest.mark.parametrize("flag", [["--decompose", "0"], ["--decompose=-1"],
+                                  ["--decompose", "5"], ["--decompose", "5", "--json"]])
+def test_crystal_decompose_node_out_of_range(capsys, flag):
+    code = main(["crystal", "--type", "A", "--rank", "2", "--lambda", "1,1", *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not a finite node" in captured.err
 
 
 def test_crystal_component_not_found(capsys):

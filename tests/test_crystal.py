@@ -322,6 +322,13 @@ def test_decomposition_trivial_nodes():
             for p in crystal_decomposition(t, ())] == [((), 1, 6)]
 
 
+@pytest.mark.parametrize("node", [0, -1, 3, 5])
+def test_decomposition_rejects_nodes_outside_rank(node):
+    b = build_crystal(A2, (1, 1))
+    with pytest.raises(ValueError):
+        crystal_decomposition(b, (1, node))
+
+
 def test_decomposition_full_nodes_single_component():
     b = build_crystal(A2, (2, 1))
     assert [(p.weight, p.size, p.count)

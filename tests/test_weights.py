@@ -115,3 +115,54 @@ def test_finite_dominance():
             assert rs.is_dominant(lam)
             assert rs.weyl_apply(word, mu) == lam
             assert rs.weyl_apply(tuple(reversed(word)), lam) == mu
+
+
+# The two walk loops as they stood before they were folded into one shared
+# helper, kept verbatim as the differential oracle.
+_STEP_LIMIT = 10**6
+
+
+def _reference_dominance_algorithm(rs, w, *, pick=None):
+    if w.level < 1:
+        raise ValueError("dominance walk needs level >= 1")
+    word = []
+    for _ in range(_STEP_LIMIT):
+        negative = [i for i in range(rs.rank + 1) if affine_pairing(rs, w, i) < 0]
+        if not negative:
+            return w, tuple(word)
+        i = negative[0] if pick is None else pick(negative)
+        w = affine_reflect(rs, i, w)
+        word.append(i)
+    raise RuntimeError("dominance walk exceeded step limit")
+
+
+def _reference_finite_dominance(rs, mu):
+    steps = []
+    for _ in range(_STEP_LIMIT):
+        negative = [i for i in range(1, rs.rank + 1) if mu[i - 1] < 0]
+        if not negative:
+            return mu, tuple(reversed(steps))
+        i = negative[0]
+        mu = rs.reflect(i, mu)
+        steps.append(i)
+    raise RuntimeError("dominance walk exceeded step limit")
+
+
+WALK_FAMILIES = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("D", 4), ("E", 6),
+                 ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", WALK_FAMILIES)
+def test_walks_match_reference(family, rank):
+    rs = root_system(family, rank)
+    rng = random.Random(rank * 100 + ord(family))
+    for _ in range(60):
+        mu = tuple(rng.randint(-3, 3) for _ in range(rank))
+        assert finite_dominance(rs, mu) == _reference_finite_dominance(rs, mu)
+        for level in (1, 2, 3):
+            w = AffineWeight(mu, level, rng.randint(-3, 3))
+            assert dominance_algorithm(rs, w) == _reference_dominance_algorithm(rs, w)
+            seed = rng.random()
+            assert (dominance_algorithm(rs, w, pick=random.Random(seed).choice)
+                    == _reference_dominance_algorithm(
+                        rs, w, pick=random.Random(seed).choice))
