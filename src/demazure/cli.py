@@ -269,6 +269,8 @@ def _tensor_factor(rs, arg, budget):
 def _cmd_crystal(cfg: RunConfig) -> int:
     a = cfg.args
     rs = cfg.rs
+    if a.decompose is not None and a.dot is not None and not a.json:
+        raise ValueError("--decompose needs --json when --dot is given")
     budget = int(os.environ.get("DEMAZURE_VERTEX_BUDGET", 10 ** 6))
     b = build_crystal(rs, a.lam, budget=budget)
     if a.word:

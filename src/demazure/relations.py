@@ -27,12 +27,13 @@ cyclic vector, degrees strictly decreasing.  Kinds:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .rootdata import Root, RootSystem
 from .weights import relation_signs
+
+_TUPLE_BUDGET = 10**5  # minimal tuples one relation set may generate
 
 
 @dataclass(frozen=True)
@@ -212,18 +213,32 @@ def _relation_sort_key(rel: Relation):
             rel.factors)
 
 
-def _minimal_tuples(target: int, nslots: int) -> list[tuple[int, ...]]:
-    """Minimal a in Z_+^nslots with sum_j (j+1) a_j >= target (product order)."""
+def _minimal_tuples(target: int, nslots: int,
+                    budget: int = _TUPLE_BUDGET) -> list[tuple[int, ...]]:
+    """Minimal a in Z_+^nslots with sum_j (j+1) a_j >= target (product order).
+
+    With w = sum_j (j+1) a_j and m = j0 + 1 the weight of the lowest used
+    slot j0, a is minimal exactly when target <= w < target + m, since
+    taking one from slot j0 is the smallest drop in w.  So each minimal a
+    is a choice of the slots above j0 weighing less than target, completed
+    by the least a_j0 that reaches it.  Each step of the search below emits
+    one tuple, so its cost is linear in the output.  Raises RuntimeError
+    once more than `budget` tuples are produced.
+    """
     if target <= 0:
         return [(0,) * nslots]
-    cap = target + nslots - 1  # minimal elements weigh less than target + max weight
     out = []
-    for a in itertools.product(*[range(cap // (j + 1) + 1) for j in range(nslots)]):
-        total = sum((j + 1) * a[j] for j in range(nslots))
-        if total < target:
-            continue
-        if all(total - (j + 1) < target for j in range(nslots) if a[j] > 0):
-            out.append(a)
+    # (slot j, weight w < target of the slots above j, (a_{j+1}, ..., a_{nslots-1}))
+    stack = [(nslots - 1, 0, ())]
+    while stack:
+        j, w, above = stack.pop()
+        need = -(-(target - w) // (j + 1))
+        out.append((0,) * j + (need,) + above)
+        if len(out) > budget:
+            raise RuntimeError("tuple budget exceeded: a relation set needs more "
+                               "than %d minimal tuples" % _TUPLE_BUDGET)
+        if j:
+            stack.extend((j - 1, w + (j + 1) * c, (c,) + above) for c in range(need))
     return sorted(out)
 
 
@@ -234,13 +249,16 @@ def _tuple_relation(root: Root, sign: str, i: int, a: tuple[int, ...], tags) -> 
 
 def relations_M(fam: PFamily) -> tuple[Relation, ...]:
     """All minimal mixed products: for each i in 1..cutoff the minimal
-    tuples (a_i, ..., a_s) with sum (j-i+1) a_j >= p(i) + 1."""
+    tuples (a_i, ..., a_s) with sum (j-i+1) a_j >= p(i) + 1.
+
+    All families of the set share one budget of _TUPLE_BUDGET tuples;
+    past it a RuntimeError is raised instead of running for minutes."""
     rels = []
     for root, sign in fam.applicable_pairs():
         p = fam.pfunction(root, sign)
         s = p.cutoff
         for i in range(1, s + 1):
-            for a in _minimal_tuples(p(i) + 1, s - i + 1):
+            for a in _minimal_tuples(p(i) + 1, s - i + 1, _TUPLE_BUDGET - len(rels)):
                 rels.append(_tuple_relation(root, sign, i, a, ("M",)))
     return tuple(sorted(rels, key=_relation_sort_key))
 

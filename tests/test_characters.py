@@ -68,6 +68,26 @@ def test_frozen_a1_character():
     assert c.terms == {((2,), 1, 0): 1, ((0,), 1, 1): 1}
 
 
+def _q_binomial(n, j):
+    """Coefficients of the Gaussian binomial [n, j]_q, lowest degree first,
+    from [n, j] = [n-1, j-1] + q^j [n-1, j]."""
+    if j < 0 or j > n:
+        return []
+    if j == 0 or j == n:
+        return [1]
+    low, high = _q_binomial(n - 1, j - 1), [0] * j + _q_binomial(n - 1, j)
+    return [a + b for a, b in itertools.zip_longest(low, high, fillvalue=0)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a1_local_weyl_graded_character(n):
+    """D((-n,), 1) for sl2 is the local Weyl module W(n): weight n-2j carries
+    [n, j]_q and no other weight occurs (Chari-Loktev)."""
+    want = {((n - 2 * j,), 1, g): c for j in range(n + 1)
+            for g, c in enumerate(_q_binomial(n, j)) if c}
+    assert demazure_character(A1, (-n,), 1).terms == want
+
+
 def test_frozen_a2_dim5_character():
     c = demazure_character(A2, (1, -2), 2)
     want = {(1, 1), (2, -1), (-1, 2), (0, 0), (1, -2)}

@@ -60,6 +60,15 @@ def test_relations_simplified_needs_demazure(capsys):
     assert code == 2
 
 
+def test_relations_budget_exits_2(capsys):
+    code = main(["relations", "--type", "A", "--rank", "1", "--mu=-60",
+                 "--preset", "demazure", "--k", "1", "--set", "M"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tuple budget exceeded" in captured.err
+
+
 def test_admissible_verdict_and_exit(capsys):
     code, out = run(capsys, "admissible", "--type", "C", "--rank", "2",
                     "--mu", "2,1", "--k", "2", "--split", "1,1|1,0",
@@ -199,6 +208,19 @@ def test_crystal_decompose_node_out_of_range(capsys, flag):
     assert code == 2
     assert captured.out == ""
     assert "not a finite node" in captured.err
+
+
+def test_crystal_decompose_with_dot_needs_json(capsys):
+    argv = ["crystal", "--type", "A", "--rank", "2", "--lambda", "1,1",
+            "--dot", "-", "--decompose", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--decompose needs --json" in captured.err
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out.startswith("digraph crystal {") and '"decomposition"' in out
 
 
 def test_crystal_component_not_found(capsys):

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import demazure.characters as ch
 from demazure.crystal import CrystalGraph, Path, demazure_subcrystal, tensor_crystal
+from demazure.relations import demazure_p, relations_M
 from demazure.rootdata import root_system
 
 A1, A2 = root_system("A", 1), root_system("A", 2)
@@ -40,6 +41,7 @@ CHECKS = {
                                      CrystalGraph((u, w), (), None)),
     "arrows": lambda: demazure_subcrystal(
         A2, CrystalGraph((u, v, w), ((u, v, 1), (u, w, 1)), u), (), (1, 0)),
+    "relations-budget": lambda: relations_M(demazure_p(A1, (-60,), 1)),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -62,6 +64,7 @@ def test_invariants_raise_under_python_O():
         "optimize": "1",
         "weight": "ValueError", "concat": "ValueError",
         "tensor": "ValueError", "arrows": "ValueError",
+        "relations-budget": "RuntimeError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
     }

@@ -1,7 +1,9 @@
+import functools
 import itertools
 
 import pytest
 
+from demazure import relations
 from demazure.relations import (IsoClass, PFunction, Relation, classify_xi,
                                 convexity_report, demazure_p, expand_x_element,
                                 generalized_weyl_p, is_partition, mmmr_classify,
@@ -146,9 +148,80 @@ def _brute_minimal(target, nslots):
 
 def test_minimal_tuples_match_brute_force():
     from demazure.relations import _minimal_tuples
-    for target in range(0, 8):
-        for nslots in range(1, 5):
+    for target in range(0, 11):
+        for nslots in range(1, 6):
             assert _minimal_tuples(target, nslots) == _brute_minimal(target, nslots)
+
+
+# The box walk that generated minimal tuples before the direct search, kept
+# verbatim as the differential oracle; cached, because it is slow.
+@functools.lru_cache(maxsize=None)
+def _box_walk_minimal(target: int, nslots: int) -> list[tuple[int, ...]]:
+    """Minimal a in Z_+^nslots with sum_j (j+1) a_j >= target (product order)."""
+    if target <= 0:
+        return [(0,) * nslots]
+    cap = target + nslots - 1  # minimal elements weigh less than target + max weight
+    out = []
+    for a in itertools.product(*[range(cap // (j + 1) + 1) for j in range(nslots)]):
+        total = sum((j + 1) * a[j] for j in range(nslots))
+        if total < target:
+            continue
+        if all(total - (j + 1) < target for j in range(nslots) if a[j] > 0):
+            out.append(a)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("nslots", range(1, 9))
+def test_minimal_tuples_match_box_walk(nslots):
+    from demazure.relations import _minimal_tuples
+    for target in range(0, 13):
+        assert _minimal_tuples(target, nslots) == _box_walk_minimal(target, nslots)
+
+
+def _small_weights(rs):
+    """Weights whose relation families have at most a few slots."""
+    r = rs.rank
+    mus = [(-1,) + (0,) * (r - 1), (0,) * (r - 1) + (-2,)]
+    if r > 1:
+        mus.append((1,) + (0,) * (r - 2) + (-1,))
+    return mus
+
+
+def _oracle_cases():
+    cases = [(A1, (-x,), "demazure", 1) for x in range(1, 10)]
+    cases.append((C2, (-6, 0), "demazure", 1))
+    for family, rank in [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                         ("E", 6), ("F", 4), ("G", 2)]:
+        rs = root_system(family, rank)
+        for mu in _small_weights(rs):
+            cases += [(rs, mu, "demazure", 1), (rs, mu, "demazure", 2),
+                      (rs, mu, "genweyl", None)]
+            if all(c <= 0 for c in mu):
+                cases.append((rs, mu, "weyl", None))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "rs,mu,preset,k", _oracle_cases(),
+    ids=lambda v: v.family + str(v.rank) if hasattr(v, "family") else str(v))
+def test_relation_sets_match_box_walk(monkeypatch, rs, mu, preset, k):
+    fam = {"demazure": lambda: demazure_p(rs, mu, k), "weyl": lambda: weyl_p(rs, mu),
+           "genweyl": lambda: generalized_weyl_p(rs, mu)}[preset]()
+    got = relations_M(fam), relations_Mprime(fam)
+    monkeypatch.setattr(relations, "_minimal_tuples",
+                        lambda target, nslots, budget=None: _box_walk_minimal(target, nslots))
+    assert got == (relations_M(fam), relations_Mprime(fam))
+
+
+def test_relations_m_budget():
+    assert len(relations_M(demazure_p(A1, (-30,), 1))) == 42677
+    with pytest.raises(RuntimeError, match="tuple budget exceeded"):
+        relations_M(demazure_p(A1, (-60,), 1))
+    # (10, 10) has 76 minimal tuples; one call stops at its own budget
+    from demazure.relations import _minimal_tuples
+    assert len(_minimal_tuples(10, 10, budget=76)) == 76
+    with pytest.raises(RuntimeError, match="tuple budget exceeded"):
+        _minimal_tuples(10, 10, budget=75)
 
 
 def test_relations_m_a1_example():
