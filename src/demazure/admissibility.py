@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .rootdata import Root, RootSystem
-from .weights import finite_dominance, relation_signs
+from .weights import finite_dominance, signed_roots
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,11 @@ def is_preadmissible(rs: RootSystem, mu, split):
     Returns (flag, witnesses); a witness is (root, part index, pairing).
     """
     _check_split(rs, mu, split)
+    part_pairs = [rs.pairings(part) for part in split]
     witnesses = []
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
-        for idx, part in enumerate(split):
-            v = rs.pairing(part, root)
+    for pos, (root, pair) in enumerate(zip(rs.positive_roots, rs.pairings(mu))):
+        for idx, pairs in enumerate(part_pairs):
+            v = pairs[pos]
             if (pair > 0 and v < 0) or (pair < 0 and v > 0) or (pair == 0 and v != 0):
                 witnesses.append((root, idx, v))
     return not witnesses, tuple(witnesses)
@@ -134,16 +134,13 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     pre, witnesses = is_preadmissible(rs, mu, split)
     records = []
     if pre:
-        for root in rs.positive_roots:
-            pair = rs.pairing(mu, root)
-            d = rs.d(root)
-            for sign in relation_signs(pair):
-                prof = root_profile(rs, split, root, sign)
-                cond_a = prof.m(r) * k > prof.weighted_count()
-                cond_b = None
-                if sign == "-" and pair > k * d * r:
-                    cond_b = prof.x >= prof.t + d * r
-                records.append(ConditionRecord(prof, cond_a, cond_b))
+        for root, sign, x in signed_roots(rs, mu):
+            prof = root_profile(rs, split, root, sign)
+            cond_a = prof.m(r) * k > prof.weighted_count()
+            cond_b = None
+            if sign == "-" and x > k * prof.d * r:
+                cond_b = prof.x >= prof.t + prof.d * r
+            records.append(ConditionRecord(prof, cond_a, cond_b))
     return AdmissibilityReport(tuple(mu), tuple(tuple(p) for p in split), r,
                                pre, witnesses, tuple(records))
 
@@ -161,10 +158,8 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     if not pre:
         return None
     stop = 1
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
-        for sign in relation_signs(pair):
-            stop = max(stop, root_profile(rs, split, root, sign).x)
+    for root, sign, _ in signed_roots(rs, mu):
+        stop = max(stop, root_profile(rs, split, root, sign).x)
     if r_max is not None:
         stop = min(stop, r_max)
     for r in range(1, stop + 1):
@@ -266,8 +261,7 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
         for k in range(1, k_bound + 1):
             split = balanced_split(rs, lam, k)
             profs = [root_profile(rs, split, root, sign)
-                     for root in rs.positive_roots
-                     for sign in relation_signs(rs.pairing(lam, root))]
+                     for root, sign, _ in signed_roots(rs, lam)]
             t_max = max(p.t for p in profs)
             escape = any(p.t == 2 and p.m(1) == 1 for p in profs)
             adm = is_r_admissible(rs, lam, split, 1).admissible

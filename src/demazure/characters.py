@@ -148,13 +148,10 @@ def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> G
     a weight dominant on the nodes is the full character of the parabolic
     irreducible.
     """
-    nodes = tuple(sorted(set(nodes)))
-    finite = tuple(finite)
-    for i in nodes:
-        if not 1 <= i <= rs.rank:
-            raise ValueError("node %r out of range" % (i,))
-        if finite[i - 1] < 0:
-            raise ValueError("weight not dominant on nodes %r" % (nodes,))
+    nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
+    finite = rs.check_weight(finite)
+    if any(finite[i - 1] < 0 for i in nodes):
+        raise ValueError("weight %r not dominant on nodes %r" % (finite, nodes))
     char = GradedCharacter.from_weight(finite, level, grade)
     for _ in range(10 ** 4):
         prev = char.terms
@@ -200,7 +197,7 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     weight.  Raises ValueError if a slice is not a nonnegative sum of
     parabolic irreducible characters on those nodes.
     """
-    nodes = tuple(sorted(set(nodes)))
+    nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
     nodeset = set(nodes)
     records = []
     for grade in char.grades():
@@ -216,10 +213,6 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
             mult = remaining[top]
             if mult < 0:
                 raise ValueError("negative multiplicity at %r grade %d" % (fin, grade))
-            for i in nodes:
-                if fin[i - 1] < 0:
-                    raise ValueError("maximal weight %r not dominant on nodes %r"
-                                     % (fin, nodes))
             irrep = parabolic_character(rs, fin, nodes, level=lvl, grade=grade)
             for (f2, l2, _), c in irrep.terms.items():
                 left = remaining.get((f2, l2), 0) - mult * c

@@ -256,9 +256,6 @@ def _tensor_factor(rs, arg, budget):
     else:
         coords_text, word_text = arg, ""
     lam = _coords(coords_text)
-    if len(lam) != rs.rank:
-        raise ValueError("tensor factor %r has %d coordinates, rank is %d"
-                         % (arg, len(lam), rs.rank))
     b = build_crystal(rs, lam, budget=budget)
     word = _word(word_text)
     if word:

@@ -109,7 +109,7 @@ def _reversed(path):
 
 def _heights(rs, i, path):
     """h at the corners, in units of 1/den."""
-    _check_node(rs, i)
+    rs.check_node(i)
     return list(itertools.accumulate([n * d[i - 1] for n, d in path.runs], initial=0))
 
 
@@ -126,11 +126,6 @@ def phi(rs: RootSystem, i: int, path: Path):
 def eps(rs: RootSystem, i: int, path: Path):
     """Length of the e_i string above the path: -min h, typed as in phi."""
     return _ratio(-min(_heights(rs, i, path)), path.den)
-
-
-def _check_node(rs, i):
-    if not 1 <= i <= rs.rank:
-        raise ValueError("node %r is not a finite node" % (i,))
 
 
 def _reflect(rs, i, d):
@@ -189,29 +184,38 @@ class CrystalGraph:
     highest: Path | None
 
 
-def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
-    """Closure of the straight path to ``lam`` under all lowering operators."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("highest weight must be dominant")
-    top = Path.straight(lam)
-    seen = {top}
-    order = [top]
-    edges = []
-    queue = collections.deque([top])
-    while queue:
-        u = queue.popleft()
-        for i in range(1, rs.rank + 1):
-            v = root_operator_f(rs, i, u)
-            if v is None:
-                continue
-            edges.append((u, v, i))
+def _reach(starts, step, budget=None) -> list:
+    """Vertices reachable from the distinct ``starts`` through ``step(u)``,
+    an iterable of the neighbours of u, in breadth-first discovery order.
+    Raises RuntimeError before a vertex past ``budget`` would be added."""
+    order = list(starts)
+    seen = set(order)
+    for u in order:  # order grows while it is read: it is the queue
+        for v in step(u):
             if v not in seen:
-                if len(seen) >= budget:
+                if budget is not None and len(seen) >= budget:
                     raise RuntimeError("vertex budget exceeded")
                 seen.add(v)
                 order.append(v)
-                queue.append(v)
+    return order
+
+
+def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
+    """Closure of the straight path to ``lam`` under all lowering operators."""
+    lam = rs.check_weight(lam)
+    if not rs.is_dominant(lam):
+        raise ValueError("highest weight must be dominant")
+    top = Path.straight(lam)
+    edges = []
+
+    def lower(u):
+        for i in range(1, rs.rank + 1):
+            v = root_operator_f(rs, i, u)
+            if v is not None:
+                edges.append((u, v, i))
+                yield v
+
+    order = _reach((top,), lower, budget)
     return CrystalGraph(tuple(order), tuple(edges), top)
 
 
@@ -268,20 +272,17 @@ def demazure_subcrystal(rs: RootSystem, b: CrystalGraph, word, lam) -> CrystalGr
     # words that are not reduced fail to land on the reflected weight
     u = top
     for i in reversed(tuple(word)):
-        _check_node(rs, i)
+        rs.check_node(i)
         while (u, i) in fmap:
             u = fmap[(u, i)]
     target = tuple(rs.weyl_apply(tuple(word), lam))
     if u.weight() != target:
         raise ValueError("extremal weight %r not reached (got %r)"
                          % (target, u.weight()))
-    keep = {top}
+    keep = (top,)
     for i in reversed(tuple(word)):
-        for v in tuple(keep):
-            w = v
-            while (w, i) in fmap:
-                w = fmap[(w, i)]
-                keep.add(w)
+        keep = _reach(keep, lambda u: (fmap[(u, i)],) if (u, i) in fmap else ())
+    keep = set(keep)
     verts = tuple(v for v in b.vertices if v in keep)
     edges = tuple(e for e in b.edges if e[0] in keep and e[1] in keep)
     highest = b.highest if b.highest in keep else None
@@ -296,13 +297,7 @@ def _components(b: CrystalGraph):
         adj[v].append(u)
     remaining = set(b.vertices)
     while remaining:
-        comp = {remaining.pop()}
-        queue = collections.deque(comp)
-        while queue:
-            for v in adj[queue.popleft()]:
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
+        comp = set(_reach((remaining.pop(),), adj.__getitem__))
         remaining -= comp
         yield comp
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .rootdata import Root, RootSystem
-from .weights import relation_signs
+from .weights import signed_roots
 
 _TUPLE_BUDGET = 10**5  # minimal tuples one relation set may generate
 
@@ -49,10 +49,13 @@ class PFunction:
         return self.values[s] if s < len(self.values) else 0
 
 
+_ZERO = PFunction((0,), 0)
+
+
 def _graded_values(x: int, step: int) -> PFunction:
     # p(s) = max{0, x - step*s}; empty when x <= 0
     if x <= 0:
-        return PFunction((0,), 0)
+        return _ZERO
     vals = []
     s = 0
     while x - step * s > 0:
@@ -65,7 +68,7 @@ def _graded_values(x: int, step: int) -> PFunction:
 def _descending_values(boundary: int, start: int) -> PFunction:
     # boundary value at s = start, then linear descent by one per step
     if boundary <= 0:
-        return PFunction((0,), 0)
+        return _ZERO
     vals = [boundary] * (start + 1) + list(range(boundary - 1, -1, -1))
     return PFunction(tuple(vals), boundary + start)
 
@@ -85,33 +88,33 @@ class PFamily:
 
     def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
         """(root, sign) combinations whose relations are imposed."""
-        return tuple((root, sign) for root in self.rs.positive_roots
-                     for sign in relation_signs(self.rs.pairing(self.mu, root)))
+        return tuple((root, sign) for root, sign, _ in signed_roots(self.rs, self.mu))
+
+
+def _family(kind: str, rs: RootSystem, mu, k, value) -> PFamily:
+    """The family with p = value(root, sign, x) at each (root, sign, x) of
+    signed_roots, and p = 0 at the other (root, sign)."""
+    entries = dict.fromkeys(((root, sign) for root in rs.positive_roots
+                             for sign in "+-"), _ZERO)
+    for root, sign, x in signed_roots(rs, mu):
+        entries[(root, sign)] = value(root, sign, x)
+    return PFamily(kind, rs, tuple(mu), k, entries)
 
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
     """The graded family p(s) = max{0, x - d_alpha*k*s} for level k >= 1."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    entries = {}
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
-        step = rs.d(root) * k
-        entries[(root, "+")] = _graded_values(-pair, step)
-        entries[(root, "-")] = _graded_values(pair, step)
-    return PFamily("demazure", rs, tuple(mu), k, entries)
+    return _family("demazure", rs, mu, k,
+                   lambda root, sign, x: _graded_values(x, rs.d(root) * k))
 
 
 def weyl_p(rs: RootSystem, mu) -> PFamily:
     """Local Weyl family for anti-dominant mu: p^+(s) = max{0, -mu(h)-s}, p^- = 0."""
     if any(c > 0 for c in mu):
         raise ValueError("weyl_p needs an anti-dominant weight")
-    entries = {}
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
-        entries[(root, "+")] = _descending_values(-pair, 0)
-        entries[(root, "-")] = PFunction((0,), 0)
-    return PFamily("weyl", rs, tuple(mu), None, entries)
+    # anti-dominant mu imposes sign '-' only where x = 0
+    return _family("weyl", rs, mu, None, lambda root, sign, x: _descending_values(x, 0))
 
 
 def generalized_weyl_p(rs: RootSystem, mu) -> PFamily:
@@ -121,12 +124,8 @@ def generalized_weyl_p(rs: RootSystem, mu) -> PFamily:
     we fill by linear descent to zero, the classical consequence pattern
     of the boundary power.
     """
-    entries = {}
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
-        entries[(root, "+")] = _descending_values(-pair, 0)
-        entries[(root, "-")] = _descending_values(pair, 1)
-    return PFamily("genweyl", rs, tuple(mu), None, entries)
+    return _family("genweyl", rs, mu, None,
+                   lambda root, sign, x: _descending_values(x, 0 if sign == "+" else 1))
 
 
 # -- xi tuples and convexity ----------------------------------------------
@@ -416,32 +415,29 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     if k < 1:
         raise ValueError("level k must be >= 1")
     raw: list[Relation] = []
-    for root in rs.positive_roots:
-        pair = rs.pairing(mu, root)
+    for root, sign, x in signed_roots(rs, mu):
         d = rs.d(root)
         step = d * k
-        for sign in relation_signs(pair):
-            x = -pair if sign == "+" else pair
-            if x > 0:
-                s, m = sm_pair(x, step)
-                if m < step and (sign == "+" or s >= 2):
-                    tags = ("simplified",)
-                    if k == 1 and not (d == 3 and m == 1):
-                        tags += ("redundant-k1",)
-                    raw.append(Relation(root, sign, ((s - 1, m + 1),), "monomial",
-                                        tags=tags))
+        if x > 0:
+            s, m = sm_pair(x, step)
+            if m < step and (sign == "+" or s >= 2):
                 tags = ("simplified",)
-                if k == 1 and d == 1:
+                if k == 1 and not (d == 3 and m == 1):
                     tags += ("redundant-k1",)
-                raw.append(Relation(root, sign, ((s, 1),), "monomial", tags=tags))
-            if sign == "-":
-                raw.append(Relation(root, "+", ((0, 1),), "cartan", tags=("mathieu",)))
-                raw.append(Relation(root, "-", ((1, max(0, x - step) + 1),),
-                                    "monomial", tags=("mathieu",)))
-            else:
-                raw.append(Relation(root, "-", ((1, 1),), "cartan", tags=("mathieu",)))
-                raw.append(Relation(root, "+", ((0, x + 1),), "monomial",
-                                    tags=("mathieu",)))
+                raw.append(Relation(root, sign, ((s - 1, m + 1),), "monomial",
+                                    tags=tags))
+            tags = ("simplified",)
+            if k == 1 and d == 1:
+                tags += ("redundant-k1",)
+            raw.append(Relation(root, sign, ((s, 1),), "monomial", tags=tags))
+        if sign == "-":
+            raw.append(Relation(root, "+", ((0, 1),), "cartan", tags=("mathieu",)))
+            raw.append(Relation(root, "-", ((1, max(0, x - step) + 1),),
+                                "monomial", tags=("mathieu",)))
+        else:
+            raw.append(Relation(root, "-", ((1, 1),), "cartan", tags=("mathieu",)))
+            raw.append(Relation(root, "+", ((0, x + 1),), "monomial",
+                                tags=("mathieu",)))
     merged: dict[tuple, Relation] = {}
     for rel in raw:
         key = (rel.root, rel.sign, rel.factors, rel.kind)

@@ -15,7 +15,8 @@ Conventions used throughout the package:
   coordinate mu[i-1], and ``theta_weight`` holds the fundamental
   coordinates of the highest root theta.
 
-Everything is exact integer (or Fraction) arithmetic; no floats.
+Everything is exact integer arithmetic, the root closure included; only
+``root_coordinates`` returns Fractions.  No floats.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _NPOS = {
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
+
+# positive roots a RootSystem may have: A62 (1,953 roots) builds in about 1 s
+_ROOT_BUDGET = 2000
 
 _RANK_OK = {
     "A": lambda n: n >= 1,
@@ -106,6 +110,10 @@ class RootSystem:
 
     def __init__(self, family: str, rank: int):
         edges, d_simple = _dynkin(family, rank)
+        npos = _NPOS[family](rank)
+        if npos > _ROOT_BUDGET:
+            raise ValueError(f"{family}{rank} has {npos} positive roots, more than the "
+                             f"budget of {_ROOT_BUDGET}")
         self.family = family
         self.rank = rank
         self.d_simple = d_simple
@@ -113,50 +121,40 @@ class RootSystem:
         self._close()
 
     def _close(self) -> None:
-        n = self.rank
-        a = self.cartan
-        seen: set[tuple[int, ...]] = set()
-        frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i in range(n):
-                    pair = sum(a[i][j] * m[j] for j in range(n))
-                    refl = tuple(m[j] - pair if j == i else m[j] for j in range(n))
-                    if refl not in seen:
-                        seen.add(refl)
-                        nxt.append(refl)
-            frontier = nxt
-        for m in seen:
-            if not (all(c >= 0 for c in m) or all(c <= 0 for c in m)):
-                raise AssertionError(f"mixed-sign root {m}")
-        pos = sorted((m for m in seen if all(c >= 0 for c in m)),
-                     key=lambda m: (sum(m), m))
+        """Reflect upwards from the simple roots.  A positive root that is not
+        simple pairs positively with some h_i, and s_i of it is a lower
+        positive root, so every positive root is reached.  A reflected root
+        keeps the length d of the root it came from."""
+        n, a, ds = self.rank, self.cartan, self.d_simple
         expected = _NPOS[self.family](n)
-        if len(pos) != expected or len(seen) != 2 * expected:
-            raise AssertionError(
-                f"{self.family}{n}: {len(pos)} positive roots, expected {expected}")
-
-        self.positive_roots: tuple[Root, ...] = tuple(Root(m) for m in pos)
-        self._d: dict[Root, int] = {}
-        self._coroot: dict[Root, tuple[int, ...]] = {}
-        for root in self.positive_roots:
-            m = root.coords
-            norm = sum(Fraction(a[i][j], self.d_simple[i]) * m[i] * m[j]
-                       for i in range(n) for j in range(n))
-            d_alpha = Fraction(2) / norm
-            if d_alpha.denominator != 1 or d_alpha.numerator not in (1, 2, 3):
-                raise AssertionError(f"bad length for {root}: d={d_alpha}")
-            d_alpha = int(d_alpha)
-            cor = []
+        found = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        d = dict(zip(found, ds))
+        for m in found:  # found grows while it is read
+            if len(found) > expected:
+                break
             for i in range(n):
-                c = Fraction(d_alpha * m[i], self.d_simple[i])
-                if c.denominator != 1:
-                    raise AssertionError(f"non-integral coroot pairing for {root}")
-                cor.append(int(c))
-            self._d[root] = d_alpha
-            self._coroot[root] = tuple(cor)
+                pair = sum(a[i][j] * m[j] for j in range(n))
+                if pair < 0:
+                    refl = m[:i] + (m[i] - pair,) + m[i + 1:]
+                    if refl not in d:
+                        found.append(refl)
+                    if d.setdefault(refl, d[m]) != d[m]:
+                        raise AssertionError(f"two lengths for the root {refl}")
+        if len(found) != expected:
+            raise AssertionError(
+                f"{self.family}{n}: {len(found)} positive roots, expected {expected}")
+        # h_alpha = sum_i (d_alpha m_i / d_i) h_i must be integral
+        if any(d[m] * c % di for m in found for c, di in zip(m, ds)):
+            raise AssertionError(f"{self.family}{n}: non-integral coroot pairing")
+
+        self.positive_roots: tuple[Root, ...] = tuple(
+            Root(m) for m in sorted(found, key=lambda m: (sum(m), m)))
+        self._d: dict[Root, int] = {r: d[r.coords] for r in self.positive_roots}
+        self._coroot: dict[Root, tuple[int, ...]] = {
+            r: tuple(d[r.coords] * c // di for c, di in zip(r.coords, ds))
+            for r in self.positive_roots}
+        # row j: wt_j(h_alpha) for every positive root alpha
+        self._pairing_table = tuple(zip(*self._coroot.values()))
 
         heights = [r.height for r in self.positive_roots]
         if heights.count(max(heights)) != 1:
@@ -169,10 +167,15 @@ class RootSystem:
 
     # -- basic queries ----------------------------------------------------
 
+    def check_node(self, i: int) -> int:
+        """i itself; ValueError unless it is a finite node, 1..rank."""
+        if not 1 <= i <= self.rank:
+            raise ValueError("node %r is not a finite node" % (i,))
+        return i
+
     def simple_root(self, i: int) -> Root:
         """The i-th simple root, i in 1..rank."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"node {i} out of range")
+        self.check_node(i)
         return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
 
     def d(self, root: Root) -> int:
@@ -188,6 +191,22 @@ class RootSystem:
         cor = self._coroot[root]
         return sum(m * c for m, c in zip(mu, cor, strict=True))
 
+    def pairings(self, mu) -> tuple[int, ...]:
+        """mu(h_alpha) for every positive root alpha, in positive_roots order;
+        ValueError when mu does not have rank coordinates."""
+        out = (0,) * len(self.positive_roots)
+        for m, row in zip(mu, self._pairing_table, strict=True):
+            if m:
+                out = [o + m * c for o, c in zip(out, row)]
+        return tuple(out)
+
+    def check_weight(self, mu) -> Weight:
+        """mu as a tuple; ValueError when it does not have rank coordinates."""
+        mu = tuple(mu)
+        if len(mu) != self.rank:
+            raise ValueError(f"weight {mu} has {len(mu)} coordinates, rank is {self.rank}")
+        return mu
+
     def root_weight(self, root: Root) -> Weight:
         """Fundamental-weight coordinates of a root."""
         return tuple(sum(self.cartan[i][j] * root.coords[j] for j in range(self.rank))
@@ -200,8 +219,7 @@ class RootSystem:
 
     def reflect(self, i: int, mu):
         """Simple reflection s_i on fundamental-weight coordinates, i in 1..rank."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"node {i} out of range")
+        self.check_node(i)
         c = mu[i - 1]
         return tuple(mu[j] - c * self.cartan[j][i - 1] for j in range(self.rank))
 

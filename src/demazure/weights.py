@@ -31,19 +31,22 @@ def sign_sets(rs: RootSystem, mu) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
 
     Roots with pairing zero belong to both tuples.
     """
-    plus = tuple(a for a in rs.positive_roots if rs.pairing(mu, a) >= 0)
-    minus = tuple(a for a in rs.positive_roots if rs.pairing(mu, a) <= 0)
+    pairs = tuple(zip(rs.positive_roots, rs.pairings(mu)))
+    plus = tuple(a for a, pair in pairs if pair >= 0)
+    minus = tuple(a for a, pair in pairs if pair <= 0)
     return plus, minus
 
 
-def relation_signs(pair: int) -> tuple[str, ...]:
-    """Signs of the relations imposed at a root alpha with pair = mu(h_alpha):
-    '+' when pair <= 0, '-' when pair >= 0, both ('+' first) when it is 0."""
-    if pair > 0:
-        return ("-",)
-    if pair < 0:
-        return ("+",)
-    return ("+", "-")
+def signed_roots(rs: RootSystem, mu):
+    """Yield (root, sign, x) for every relation family mu imposes, in
+    positive_roots order: sign '+' with x = -mu(h_alpha) where
+    mu(h_alpha) <= 0, sign '-' with x = mu(h_alpha) where mu(h_alpha) >= 0,
+    both ('+' first) at pairing zero.  So x >= 0 always."""
+    for root, pair in zip(rs.positive_roots, rs.pairings(mu)):
+        if pair <= 0:
+            yield root, "+", -pair
+        if pair >= 0:
+            yield root, "-", pair
 
 
 def affine_pairing(rs: RootSystem, w: AffineWeight, i: int) -> int:
@@ -100,6 +103,6 @@ def finite_dominance(rs: RootSystem, mu):
     Returns (lam, word) with rs.weyl_apply(word, mu) == lam; the inverse
     word (reversed) carries lam back to mu.
     """
-    lam, steps = _walk(rs, mu, range(1, rs.rank + 1), lambda _, mu, i: mu[i - 1],
-                       RootSystem.reflect, None)
+    lam, steps = _walk(rs, rs.check_weight(mu), range(1, rs.rank + 1),
+                       lambda _, mu, i: mu[i - 1], RootSystem.reflect, None)
     return lam, steps[::-1]

@@ -177,3 +177,13 @@ def test_profile_bound_scan_bc():
         report = profile_bound_scan(rs, 2, 2)
         assert report.t_bound <= 2
         assert report.missing_escapes == ()
+
+
+def test_balanced_split_rejects_wrong_length():
+    with pytest.raises(ValueError, match="coordinates"):
+        balanced_split(A2, (1, 0, 0), 2)
+
+
+def test_find_1_admissible_rejects_wrong_length():
+    with pytest.raises(ValueError, match="coordinates"):
+        find_1_admissible(A2, (1, -1, -5), 2)

@@ -266,3 +266,24 @@ def test_embedding_certificate_balanced_grid():
         cert = embedding_certificate(rs, mu, split, r)
         if cert.split_admissible:
             assert cert.certified, (rs.family, mu, k, r, split, cert.failures)
+
+
+def test_parabolic_character_rejects_wrong_length():
+    for finite in [(1, 0, 0), (1,)]:
+        with pytest.raises(ValueError, match="coordinates"):
+            parabolic_character(A2, finite, (1,))
+
+
+def test_finite_character_rejects_wrong_length():
+    with pytest.raises(ValueError, match="coordinates"):
+        finite_character(A2, (1, 0, 0))
+
+
+@pytest.mark.parametrize("nodes", [(5,), (0,), (1, 3)])
+def test_g0_branch_rejects_nodes_outside_rank(nodes):
+    char = finite_character(A2, (1, 0))
+    with pytest.raises(ValueError, match="not a finite node") as branch:
+        g0_branch(A2, char, nodes)
+    with pytest.raises(ValueError) as parabolic:
+        parabolic_character(A2, (1, 0), nodes)
+    assert str(branch.value) == str(parabolic.value)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,17 @@ def test_relations_budget_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert "tuple budget exceeded" in captured.err
+
+
+def test_rootdata_oversized_rank_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code = main(["rootdata", "--type", "A", "--rank", "5000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "positive roots" in captured.err
+    assert elapsed < 1
 
 
 def test_admissible_verdict_and_exit(capsys):

@@ -364,3 +364,16 @@ def test_to_dot_output():
     assert dot.count("->") == 2
     assert '[label="(1, 0)"]' in dot
     assert '[label="1"]' in dot and '[label="2"]' in dot
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0), (1,)])
+def test_build_crystal_rejects_wrong_length(lam):
+    with pytest.raises(ValueError, match="coordinates"):
+        build_crystal(A2, lam)
+
+
+def test_build_crystal_budget_boundary():
+    # the adjoint crystal of A2 has 8 vertices
+    assert len(build_crystal(A2, (1, 1), budget=8).vertices) == 8
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        build_crystal(A2, (1, 1), budget=7)

@@ -126,3 +126,32 @@ def test_equal_lines_are_equal_paths():
     # halves that merge into a whole step reduce the denominator
     d = crystal.Path(((Fraction(1, 2), 1), (Fraction(1, 2), 1)), 2)
     assert (d.den, d.runs) == (1, ((1, (1, 2)),))
+
+
+# (type, rank, lam, word, second tensor factor, nodes to decompose along)
+SEARCHES = [("A", 2, (1, 1), (2, 1), (0, 1), (2,)),
+            ("A", 2, (2, 1), (1, 2, 1), (1, 0), (1,)),
+            ("B", 2, (1, 1), (2, 1, 2), (0, 1), (1,)),
+            ("C", 2, (1, 1), (1, 2), (1, 0), (2,)),
+            ("G", 2, (1, 0), (2, 1, 2, 1), (1, 0), (2,)),
+            ("A", 3, (1, 0, 1), (2, 1, 3), (0, 1, 0), (1, 3))]
+
+
+@pytest.mark.parametrize("family,rank,lam,word,other,nodes", SEARCHES)
+def test_graph_searches_match_fraction_reference(family, rank, lam, word, other, nodes):
+    """Demazure string saturation, components and decomposition against the
+    reference, each of which has its own breadth-first loop."""
+    rs = root_system(family, rank)
+    new_full, old_full = crystal.build_crystal(rs, lam), ref.build_crystal(rs, lam)
+    new = crystal.demazure_subcrystal(rs, new_full, word, lam)
+    old = ref.demazure_subcrystal(rs, old_full, word, lam)
+    same_graph(new, old)
+    new_t = crystal.tensor_crystal(rs, new_full, crystal.build_crystal(rs, other))
+    old_t = ref.tensor_crystal(rs, old_full, ref.build_crystal(rs, other))
+    top = tuple(a + b for a, b in zip(lam, other))
+    same_graph(crystal.component_of(new_t, top), ref.component_of(old_t, top))
+    for graph, old_graph in [(new_full, old_full), (new_t, old_t)]:
+        assert ([(p.weight, p.size, p.count)
+                 for p in crystal.crystal_decomposition(graph, nodes)]
+                == [(p.weight, p.size, p.count)
+                    for p in ref.crystal_decomposition(old_graph, nodes)])

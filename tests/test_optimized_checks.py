@@ -15,9 +15,12 @@ import sys
 from fractions import Fraction
 
 import demazure.characters as ch
-from demazure.crystal import CrystalGraph, Path, demazure_subcrystal, tensor_crystal
+from demazure.admissibility import balanced_split, find_1_admissible
+from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcrystal,
+                              tensor_crystal)
 from demazure.relations import demazure_p, relations_M
 from demazure.rootdata import root_system
+from demazure.weights import finite_dominance
 
 A1, A2 = root_system("A", 1), root_system("A", 2)
 u, v, w = Path.straight((1, 0)), Path.straight((2, 0)), Path((), 2)
@@ -42,6 +45,15 @@ CHECKS = {
     "arrows": lambda: demazure_subcrystal(
         A2, CrystalGraph((u, v, w), ((u, v, 1), (u, w, 1)), u), (), (1, 0)),
     "relations-budget": lambda: relations_M(demazure_p(A1, (-60,), 1)),
+    "rank-budget": lambda: root_system("A", 5000),
+    "crystal-long": lambda: build_crystal(A2, (1, 0, 0)),
+    "crystal-short": lambda: build_crystal(A2, (1,)),
+    "dominance-length": lambda: finite_dominance(A2, (1, -1, -5)),
+    "parabolic-length": lambda: ch.parabolic_character(A2, (1, 0, 0), (1,)),
+    "finite-length": lambda: ch.finite_character(A2, (1, 0, 0)),
+    "balanced-length": lambda: balanced_split(A2, (1, 0, 0), 2),
+    "find-length": lambda: find_1_admissible(A2, (1, 0, 0), 2),
+    "branch-node": lambda: ch.g0_branch(A2, ch.finite_character(A2, (1, 0)), (5,)),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -65,6 +77,11 @@ def test_invariants_raise_under_python_O():
         "weight": "ValueError", "concat": "ValueError",
         "tensor": "ValueError", "arrows": "ValueError",
         "relations-budget": "RuntimeError",
+        "rank-budget": "ValueError", "crystal-long": "ValueError",
+        "crystal-short": "ValueError", "dominance-length": "ValueError",
+        "parabolic-length": "ValueError", "finite-length": "ValueError",
+        "balanced-length": "ValueError", "find-length": "ValueError",
+        "branch-node": "ValueError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
     }

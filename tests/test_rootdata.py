@@ -1,8 +1,10 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from demazure.rootdata import Root, root_system
+from demazure.rootdata import _NPOS, Root, RootSystem, Weight, root_system
 
 from realizations import oracle_d, oracle_pairing, realization
 
@@ -11,7 +13,7 @@ COUNTS = [
     ("B", 2, 4), ("B", 3, 9), ("B", 4, 16),
     ("C", 2, 4), ("C", 3, 9), ("C", 4, 16),
     ("D", 4, 12), ("D", 5, 20),
-    ("E", 6, 36), ("E", 7, 63),
+    ("E", 6, 36), ("E", 7, 63), ("E", 8, 120),
     ("F", 4, 24), ("G", 2, 6),
 ]
 
@@ -134,3 +136,99 @@ def test_simple_root_accessor_bounds():
         rs.simple_root(0)
     with pytest.raises(ValueError):
         rs.simple_root(3)
+
+
+class FractionClosureRootSystem(RootSystem):
+    """The root system with the earlier closure: all roots of both signs,
+    then lengths from a Fraction norm.  ``_close`` is kept verbatim as the
+    differential oracle."""
+
+    def _close(self) -> None:
+        n = self.rank
+        a = self.cartan
+        seen: set[tuple[int, ...]] = set()
+        frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        seen.update(frontier)
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for i in range(n):
+                    pair = sum(a[i][j] * m[j] for j in range(n))
+                    refl = tuple(m[j] - pair if j == i else m[j] for j in range(n))
+                    if refl not in seen:
+                        seen.add(refl)
+                        nxt.append(refl)
+            frontier = nxt
+        for m in seen:
+            if not (all(c >= 0 for c in m) or all(c <= 0 for c in m)):
+                raise AssertionError(f"mixed-sign root {m}")
+        pos = sorted((m for m in seen if all(c >= 0 for c in m)),
+                     key=lambda m: (sum(m), m))
+        expected = _NPOS[self.family](n)
+        if len(pos) != expected or len(seen) != 2 * expected:
+            raise AssertionError(
+                f"{self.family}{n}: {len(pos)} positive roots, expected {expected}")
+
+        self.positive_roots: tuple[Root, ...] = tuple(Root(m) for m in pos)
+        self._d: dict[Root, int] = {}
+        self._coroot: dict[Root, tuple[int, ...]] = {}
+        for root in self.positive_roots:
+            m = root.coords
+            norm = sum(Fraction(a[i][j], self.d_simple[i]) * m[i] * m[j]
+                       for i in range(n) for j in range(n))
+            d_alpha = Fraction(2) / norm
+            if d_alpha.denominator != 1 or d_alpha.numerator not in (1, 2, 3):
+                raise AssertionError(f"bad length for {root}: d={d_alpha}")
+            d_alpha = int(d_alpha)
+            cor = []
+            for i in range(n):
+                c = Fraction(d_alpha * m[i], self.d_simple[i])
+                if c.denominator != 1:
+                    raise AssertionError(f"non-integral coroot pairing for {root}")
+                cor.append(int(c))
+            self._d[root] = d_alpha
+            self._coroot[root] = tuple(cor)
+
+        heights = [r.height for r in self.positive_roots]
+        if heights.count(max(heights)) != 1:
+            raise AssertionError("highest root not unique")
+        self.theta = self.positive_roots[-1]
+        self.theta_weight: Weight = self.root_weight(self.theta)
+        if self._d[self.theta] != 1 or any(c < 0 for c in self.theta_weight):
+            raise AssertionError("highest root must be long and dominant")
+        self._inv_cartan: tuple[tuple[Fraction, ...], ...] | None = None
+
+
+CLOSURE_SYSTEMS = sorted({(f, r) for f, r, _ in COUNTS}
+                         | {(f, r) for f in "BC" for r in range(2, 9)}
+                         | {("D", r) for r in range(4, 9)} | {("A", 20), ("D", 20)})
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_SYSTEMS)
+def test_closure_matches_fraction_reference(family, rank):
+    new, old = RootSystem(family, rank), FractionClosureRootSystem(family, rank)
+    assert new.positive_roots == old.positive_roots
+    assert [new.d(r) for r in new.positive_roots] == [old.d(r) for r in old.positive_roots]
+    assert ([new.coroot_vector(r) for r in new.positive_roots]
+            == [old.coroot_vector(r) for r in old.positive_roots])
+    assert new.theta == old.theta and new.theta_weight == old.theta_weight
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r, _ in COUNTS])
+def test_pairings_match_pairing(family, rank):
+    rs = root_system(family, rank)
+    rng = random.Random(rank * 100 + ord(family))
+    for _ in range(20):
+        mu = tuple(rng.randint(-4, 4) for _ in range(rank))
+        assert rs.pairings(mu) == tuple(rs.pairing(mu, r) for r in rs.positive_roots)
+    for bad in ((0,) * (rank - 1), (0,) * (rank + 1)):
+        with pytest.raises(ValueError):
+            rs.pairings(bad)
+
+
+def test_root_budget():
+    # A62 (1,953 positive roots) is the largest type A under the budget
+    for family, rank in [("A", 63), ("B", 45), ("C", 45), ("D", 46), ("A", 5000)]:
+        with pytest.raises(ValueError, match="positive roots"):
+            root_system(family, rank)
+

@@ -5,7 +5,7 @@ import pytest
 from demazure.rootdata import root_system
 from demazure.weights import (AffineWeight, affine_pairing, affine_reflect,
                               dominance_algorithm, finite_dominance,
-                              is_affine_dominant, sign_sets)
+                              is_affine_dominant, sign_sets, signed_roots)
 
 FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
             ("C", 2), ("C", 3), ("G", 2)]
@@ -166,3 +166,35 @@ def test_walks_match_reference(family, rank):
             assert (dominance_algorithm(rs, w, pick=random.Random(seed).choice)
                     == _reference_dominance_algorithm(
                         rs, w, pick=random.Random(seed).choice))
+
+
+# The per-root sign rule as it stood before signed_roots, kept verbatim as
+# the differential oracle.
+def _reference_relation_signs(pair: int) -> tuple[str, ...]:
+    """Signs of the relations imposed at a root alpha with pair = mu(h_alpha):
+    '+' when pair <= 0, '-' when pair >= 0, both ('+' first) when it is 0."""
+    if pair > 0:
+        return ("-",)
+    if pair < 0:
+        return ("+",)
+    return ("+", "-")
+
+
+@pytest.mark.parametrize("family,rank", WALK_FAMILIES + [("E", 8)])
+def test_signed_roots_match_reference(family, rank):
+    rs = root_system(family, rank)
+    rng = random.Random(rank * 100 + ord(family))
+    for _ in range(40):
+        mu = tuple(rng.randint(-3, 3) for _ in range(rank))
+        want = [(root, sign) for root in rs.positive_roots
+                for sign in _reference_relation_signs(rs.pairing(mu, root))]
+        got = list(signed_roots(rs, mu))
+        assert [(root, sign) for root, sign, _ in got] == want
+        assert all(x == (-1 if sign == "+" else 1) * rs.pairing(mu, root)
+                   for root, sign, x in got)
+
+
+@pytest.mark.parametrize("mu", [(1, -1, -5), (1, 0, 0), (1,), ()])
+def test_finite_dominance_rejects_wrong_length(mu):
+    with pytest.raises(ValueError, match="coordinates"):
+        finite_dominance(root_system("A", 2), mu)
