@@ -6,9 +6,10 @@ path crystals, plus a small command line front end.
 """
 
 from .admissibility import (AdmissibilityReport, balanced_split,
-                            enumerate_dominant_splits, find_1_admissible,
-                            is_preadmissible, is_r_admissible, minimal_r,
-                            profile_bound_scan, pull_back, root_profile)
+                            candidate_splits, enumerate_dominant_splits,
+                            find_1_admissible, is_preadmissible,
+                            is_r_admissible, minimal_r, profile_bound_scan,
+                            pull_back, root_profile)
 from .characters import (BranchRecord, EmbeddingCertificate, GradedCharacter,
                          demazure_character, demazure_operator,
                          embedding_certificate, finite_character, g0_branch,
@@ -32,7 +33,8 @@ __all__ = [
     "AdmissibilityReport", "AffineWeight", "BranchRecord", "CrystalGraph",
     "EmbeddingCertificate", "GradedCharacter", "IsoClass", "PFamily", "Path",
     "Relation", "Root", "RootSystem", "affine_pairing", "affine_reflect",
-    "balanced_split", "build_crystal", "classify_xi", "component_of",
+    "balanced_split", "build_crystal", "candidate_splits", "classify_xi",
+    "component_of",
     "convexity_report", "crystal_decomposition", "demazure_character",
     "demazure_operator", "demazure_p", "demazure_subcrystal",
     "dominance_algorithm", "embedding_certificate",

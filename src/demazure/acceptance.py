@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .admissibility import (balanced_split, enumerate_dominant_splits,
-                            is_r_admissible, profile_bound_scan, pull_back)
+from .admissibility import (balanced_split, candidate_splits, is_r_admissible,
+                            profile_bound_scan)
 from .characters import (GradedCharacter, demazure_character,
                          demazure_operator, embedding_certificate,
                          finite_character, g0_branch)
@@ -22,7 +22,7 @@ from .relations import (IsoClass, convexity_report, demazure_p, expand_x_element
                         is_partition, mmmr_classify, s_sets, sm_pair, xi_tuple)
 from .rootdata import Root, root_system
 from .weights import (AffineWeight, affine_reflect, dominance_algorithm,
-                      finite_dominance, is_affine_dominant)
+                      is_affine_dominant)
 
 
 def worked_example_a2():
@@ -97,10 +97,8 @@ def embedding_grid():
     for family, rank in [("A", 1), ("A", 2), ("C", 2)]:
         rs = root_system(family, rank)
         for mu in itertools.product(range(-2, 3), repeat=rank):
-            lam, word = finite_dominance(rs, mu)
             for k in (1, 2, 3):
-                for split in enumerate_dominant_splits(rs, lam, k):
-                    cand = pull_back(rs, word, split)
+                for cand in candidate_splits(rs, mu, k):
                     for r in (1, 2):
                         if not is_r_admissible(rs, mu, cand, r).admissible:
                             continue
@@ -134,12 +132,11 @@ def balanced_splits_type_a():
         for lam in itertools.product(range(5), repeat=rank):
             for k in (1, 2, 3):
                 total += 1
-                split = balanced_split(rs, lam, k)
-                for root in rs.positive_roots:
-                    vals = [rs.pairing(part, root) for part in split]
-                    if max(vals) - min(vals) > 1:
-                        bad_spread.append((rank, lam, k, root))
-                if not is_r_admissible(rs, lam, split, 1).admissible:
+                # the split is preadmissible, so its report has every profile
+                rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
+                bad_spread += [(rank, lam, k, rec.profile.root)
+                               for rec in rep.records if rec.profile.t > 1]
+                if not rep.admissible:
                     bad_adm.append((rank, lam, k))
     ok = not bad_spread and not bad_adm
     detail = ("%d cases: spread counterexamples %d, admissibility "

@@ -7,6 +7,10 @@ that, r-admissibility runs two counting conditions on the per-root value
 profiles; condition A compares the remainder class of the largest value
 against the weighted multiplicities below it, condition B bounds how far
 the values may spread when mu itself pairs large.
+
+Every test makes one pass over a split: the split is checked once, each
+part is paired once with every positive root (``rs.pairings``), and the
+sign witnesses and all (root, sign) profiles read those pairings.
 """
 
 from __future__ import annotations
@@ -92,11 +96,39 @@ class AdmissibilityReport:
 def _check_split(rs: RootSystem, mu, split) -> None:
     if len(split) < 1:
         raise ValueError("split needs at least one part")
-    if any(len(part) != rs.rank for part in split):
-        raise ValueError("part length does not match the rank")
+    for part in split:
+        rs.check_weight(part)
     total = tuple(sum(cs) for cs in zip(*split))
-    if total != tuple(mu):
+    if total != rs.check_weight(mu):
         raise ValueError(f"split sums to {total}, not {tuple(mu)}")
+
+
+def _profile(rs: RootSystem, root: Root, sign: str, pairs) -> RootProfile:
+    """The profile of (root, sign) from the parts' pairings with root."""
+    values = tuple(-v for v in pairs) if sign == "+" else tuple(pairs)
+    return RootProfile(root, sign, rs.d(root), values)
+
+
+def _split_pass(rs: RootSystem, mu, split):
+    """Check the split and pair each part once.  Returns the sign witnesses
+    (root, part index, pairing) and a (RootProfile, x) for every
+    (root, sign, x) of signed_roots(rs, mu)."""
+    _check_split(rs, mu, split)
+    columns = dict(zip(rs.positive_roots, zip(*(rs.pairings(p) for p in split))))
+    # a witness pairs nonzero, and to zero or the opposite sign of mu
+    witnesses = tuple((root, idx, v)
+                      for root, pair in zip(rs.positive_roots, rs.pairings(mu))
+                      for idx, v in enumerate(columns[root]) if v and pair * v <= 0)
+    profiles = tuple((_profile(rs, root, sign, columns[root]), x)
+                     for root, sign, x in signed_roots(rs, mu))
+    return witnesses, profiles
+
+
+def _record(prof: RootProfile, x: int, k: int, r: int) -> ConditionRecord:
+    cond_b = None
+    if prof.sign == "-" and x > k * prof.d * r:
+        cond_b = prof.x >= prof.t + prof.d * r
+    return ConditionRecord(prof, prof.m(r) * k > prof.weighted_count(), cond_b)
 
 
 def is_preadmissible(rs: RootSystem, mu, split):
@@ -104,21 +136,12 @@ def is_preadmissible(rs: RootSystem, mu, split):
 
     Returns (flag, witnesses); a witness is (root, part index, pairing).
     """
-    _check_split(rs, mu, split)
-    part_pairs = [rs.pairings(part) for part in split]
-    witnesses = []
-    for pos, (root, pair) in enumerate(zip(rs.positive_roots, rs.pairings(mu))):
-        for idx, pairs in enumerate(part_pairs):
-            v = pairs[pos]
-            if (pair > 0 and v < 0) or (pair < 0 and v > 0) or (pair == 0 and v != 0):
-                witnesses.append((root, idx, v))
-    return not witnesses, tuple(witnesses)
+    witnesses, _ = _split_pass(rs, mu, split)
+    return not witnesses, witnesses
 
 
 def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
-    values = tuple((-1 if sign == "+" else 1) * rs.pairing(part, root)
-                   for part in split)
-    return RootProfile(root, sign, rs.d(root), values)
+    return _profile(rs, root, sign, [rs.pairing(part, root) for part in split])
 
 
 def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
@@ -129,20 +152,11 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    _check_split(rs, mu, split)
-    k = len(split)
-    pre, witnesses = is_preadmissible(rs, mu, split)
-    records = []
-    if pre:
-        for root, sign, x in signed_roots(rs, mu):
-            prof = root_profile(rs, split, root, sign)
-            cond_a = prof.m(r) * k > prof.weighted_count()
-            cond_b = None
-            if sign == "-" and x > k * prof.d * r:
-                cond_b = prof.x >= prof.t + prof.d * r
-            records.append(ConditionRecord(prof, cond_a, cond_b))
+    witnesses, profiles = _split_pass(rs, mu, split)
+    records = () if witnesses else tuple(_record(prof, x, len(split), r)
+                                         for prof, x in profiles)
     return AdmissibilityReport(tuple(mu), tuple(tuple(p) for p in split), r,
-                               pre, witnesses, tuple(records))
+                               not witnesses, witnesses, records)
 
 
 def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
@@ -154,16 +168,14 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     positivity of the pairing, and the premise of condition B fails since
     mu(h_alpha) <= k*x <= k*d*r.  So the scan can stop at max(x).
     """
-    pre, _ = is_preadmissible(rs, mu, split)
-    if not pre:
+    witnesses, profiles = _split_pass(rs, mu, split)
+    if witnesses:
         return None
-    stop = 1
-    for root, sign, _ in signed_roots(rs, mu):
-        stop = max(stop, root_profile(rs, split, root, sign).x)
+    stop = max(1, *(prof.x for prof, _ in profiles))
     if r_max is not None:
         stop = min(stop, r_max)
     for r in range(1, stop + 1):
-        if is_r_admissible(rs, mu, split, r).admissible:
+        if all(_record(prof, x, len(split), r).ok for prof, x in profiles):
             return r
     return None
 
@@ -199,13 +211,18 @@ def pull_back(rs: RootSystem, word, split):
     return tuple(rs.weyl_apply(inverse, part) for part in split)
 
 
-def find_1_admissible(rs: RootSystem, mu, k: int):
-    """First 1-admissible split of mu into k parts, searching dominant
-    splits of the dominant conjugate in enumeration order; None if the
-    whole enumeration fails."""
+def candidate_splits(rs: RootSystem, mu, k: int):
+    """The dominant splits of the dominant conjugate of mu, in enumeration
+    order, each pulled back to a split of mu."""
     lam, word = finite_dominance(rs, mu)
     for split in enumerate_dominant_splits(rs, lam, k):
-        cand = pull_back(rs, word, split)
+        yield pull_back(rs, word, split)
+
+
+def find_1_admissible(rs: RootSystem, mu, k: int):
+    """First 1-admissible candidate split of mu into k parts; None if every
+    candidate fails."""
+    for cand in candidate_splits(rs, mu, k):
         if is_r_admissible(rs, mu, cand, 1).admissible:
             return cand
     return None
@@ -259,11 +276,11 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
     records = []
     for lam in itertools.product(range(coord_bound + 1), repeat=rs.rank):
         for k in range(1, k_bound + 1):
-            split = balanced_split(rs, lam, k)
-            profs = [root_profile(rs, split, root, sign)
-                     for root, sign, _ in signed_roots(rs, lam)]
+            # dominant parts of a dominant lam are preadmissible, so the
+            # report carries every profile
+            rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
+            profs = [rec.profile for rec in rep.records]
             t_max = max(p.t for p in profs)
             escape = any(p.t == 2 and p.m(1) == 1 for p in profs)
-            adm = is_r_admissible(rs, lam, split, 1).admissible
-            records.append(ScanRecord(tuple(lam), k, adm, t_max, escape))
+            records.append(ScanRecord(tuple(lam), k, rep.admissible, t_max, escape))
     return ScanReport(tuple(records))

@@ -15,19 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .acceptance import run_all
-from .admissibility import (balanced_split, enumerate_dominant_splits,
-                            is_r_admissible, pull_back)
+from .admissibility import balanced_split, candidate_splits, is_r_admissible
 from .characters import demazure_character, embedding_certificate
 from .crystal import (build_crystal, component_of, crystal_decomposition,
                       demazure_subcrystal, tensor_crystal, to_dot)
 from .relations import (demazure_p, generalized_weyl_p, relations_M,
                         relations_Mpp, relations_Mprime,
                         simplified_demazure_relations, weyl_p)
-from .rootdata import RootSystem, root_system
-from .weights import AffineWeight, dominance_algorithm, finite_dominance
+from .rootdata import root_system
+from .weights import AffineWeight, dominance_algorithm
 
 
 def _coords(text: str) -> tuple[int, ...]:
@@ -52,50 +50,19 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-@dataclass
-class RunConfig:
-    """Validated flag bundle; constructing it builds the root system, so a
-    bad type/rank pair fails before any subcommand runs."""
-
-    args: argparse.Namespace
-    rs: RootSystem | None = None
-
-    def __post_init__(self):
-        a = self.args
-        if getattr(a, "family", None) is not None:
-            self.rs = root_system(a.family, a.rank)
-            for name in ("mu", "lam", "component_weight"):
-                val = getattr(a, name, None)
-                if val is not None and len(val) != self.rs.rank:
-                    raise ValueError("%s has %d coordinates, rank is %d"
-                                     % (name, len(val), self.rs.rank))
-            split = getattr(a, "split", None)
-            if split is not None:
-                for part in split:
-                    if len(part) != self.rs.rank:
-                        raise ValueError("split part %r has %d coordinates, "
-                                         "rank is %d"
-                                         % (part, len(part), self.rs.rank))
-                k = getattr(a, "k", None)
-                if k is not None and k != len(split):
-                    raise ValueError("--k %d disagrees with %d split parts"
-                                     % (k, len(split)))
-
-
-def _add_system(ap, *, mu=False, mu_required=False):
+def _add_system(ap, *, mu=False):
     ap.add_argument("--type", dest="family", required=True,
                     choices=["A", "B", "C", "D", "E", "F", "G"],
                     help="simple type")
     ap.add_argument("--rank", type=int, required=True)
     if mu:
-        ap.add_argument("--mu", type=_coords, required=mu_required,
+        ap.add_argument("--mu", type=_coords, required=True,
                         help="weight in fundamental coordinates, e.g. 1,-2")
 
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_rootdata(cfg: RunConfig) -> int:
-    rs = cfg.rs
+def _cmd_rootdata(a, rs) -> int:
     _emit({
         "family": rs.family,
         "rank": rs.rank,
@@ -110,10 +77,9 @@ def _cmd_rootdata(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_dominance(cfg: RunConfig) -> int:
-    a = cfg.args
+def _cmd_dominance(a, rs) -> int:
     w = AffineWeight(a.mu, a.level, a.degree)
-    lam, word = dominance_algorithm(cfg.rs, w)
+    lam, word = dominance_algorithm(rs, w)
     _emit({
         "input": {"finite": list(w.finite), "level": w.level,
                   "degree": w.degree},
@@ -131,21 +97,20 @@ def _relation_json(rel):
             "index": rel.index, "tags": list(rel.tags)}
 
 
-def _cmd_relations(cfg: RunConfig) -> int:
-    a = cfg.args
+def _cmd_relations(a, rs) -> int:
     if a.preset == "demazure":
         if a.k is None:
             raise ValueError("--k is required for the demazure preset")
-        fam = demazure_p(cfg.rs, a.mu, a.k)
+        fam = demazure_p(rs, a.mu, a.k)
     elif a.preset == "weyl":
-        fam = weyl_p(cfg.rs, a.mu)
+        fam = weyl_p(rs, a.mu)
     else:
-        fam = generalized_weyl_p(cfg.rs, a.mu)
+        fam = generalized_weyl_p(rs, a.mu)
     if a.set == "simplified":
         if a.preset != "demazure":
             raise ValueError("the simplified set exists only for the "
                              "demazure preset")
-        rels = simplified_demazure_relations(cfg.rs, a.mu, a.k)
+        rels = simplified_demazure_relations(rs, a.mu, a.k)
     else:
         rels = {"M": relations_M, "Mprime": relations_Mprime,
                 "Mpp": relations_Mpp}[a.set](fam)
@@ -180,26 +145,21 @@ def _report_json(rep):
     }
 
 
-def _cmd_admissible(cfg: RunConfig) -> int:
-    a = cfg.args
-    rep = is_r_admissible(cfg.rs, a.mu, a.split, a.r)
+def _cmd_admissible(a, rs) -> int:
+    rep = is_r_admissible(rs, a.mu, a.split, a.r)
     _emit(_report_json(rep))
     return 0 if rep.admissible else 1
 
 
-def _cmd_split_search(cfg: RunConfig) -> int:
-    a = cfg.args
-    rs = cfg.rs
+def _cmd_split_search(a, rs) -> int:
     if a.balanced:
         split = balanced_split(rs, a.mu, a.k)
         rep = is_r_admissible(rs, a.mu, split, 1)
         _emit({"split": [list(p) for p in split],
                "admissible_1": rep.admissible})
         return 0 if rep.admissible else 1
-    lam, word = finite_dominance(rs, a.mu)
     found = 0
-    for dom in enumerate_dominant_splits(rs, lam, a.k):
-        cand = pull_back(rs, word, dom)
+    for cand in candidate_splits(rs, a.mu, a.k):
         admissible = is_r_admissible(rs, a.mu, cand, 1).admissible
         if a.find_1_admissible and not admissible:
             continue
@@ -211,9 +171,8 @@ def _cmd_split_search(cfg: RunConfig) -> int:
     return 0 if found else 1
 
 
-def _cmd_char(cfg: RunConfig) -> int:
-    a = cfg.args
-    char = demazure_character(cfg.rs, a.mu, a.level)
+def _cmd_char(a, rs) -> int:
+    char = demazure_character(rs, a.mu, a.level)
     terms = [{"wt": list(fin), "grade": grade, "mult": mult}
              for (fin, _lvl, grade), mult in char.sorted_terms()]
     if a.json:
@@ -226,9 +185,8 @@ def _cmd_char(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_embed_check(cfg: RunConfig) -> int:
-    a = cfg.args
-    cert = embedding_certificate(cfg.rs, a.mu, a.split, a.r)
+def _cmd_embed_check(a, rs) -> int:
+    cert = embedding_certificate(rs, a.mu, a.split, a.r)
     ok = cert.certified and cert.split_admissible
     _emit({
         "status": "Certified" if ok else "Violation",
@@ -251,10 +209,7 @@ def _cmd_embed_check(cfg: RunConfig) -> int:
 
 
 def _tensor_factor(rs, arg, budget):
-    if ":" in arg:
-        coords_text, word_text = arg.split(":", 1)
-    else:
-        coords_text, word_text = arg, ""
+    coords_text, _, word_text = arg.partition(":")
     lam = _coords(coords_text)
     b = build_crystal(rs, lam, budget=budget)
     word = _word(word_text)
@@ -263,17 +218,17 @@ def _tensor_factor(rs, arg, budget):
     return b
 
 
-def _cmd_crystal(cfg: RunConfig) -> int:
-    a = cfg.args
-    rs = cfg.rs
+def _cmd_crystal(a, rs) -> int:
     if a.decompose is not None and a.dot is not None and not a.json:
         raise ValueError("--decompose needs --json when --dot is given")
+    if a.component_weight is not None:
+        rs.check_weight(a.component_weight)
     budget = int(os.environ.get("DEMAZURE_VERTEX_BUDGET", 10 ** 6))
     b = build_crystal(rs, a.lam, budget=budget)
     if a.word:
         b = demazure_subcrystal(rs, b, a.word, a.lam)
     for arg in a.tensor or ():
-        b = tensor_crystal(rs, b, _tensor_factor(rs, arg, budget))
+        b = tensor_crystal(rs, b, _tensor_factor(rs, arg, budget), budget=budget)
     if a.component_weight is not None:
         try:
             b = component_of(b, a.component_weight)
@@ -312,8 +267,8 @@ def _cmd_crystal(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_reproduce(cfg: RunConfig) -> int:
-    rows = run_all(cfg.args.seed)
+def _cmd_reproduce(a, rs) -> int:
+    rows = run_all(a.seed)
     width = max(len(name) for name, _, _ in rows)
     failed = 0
     for name, ok, detail in rows:
@@ -339,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("dominance",
                         help="walk an affine weight to the dominant chamber")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--level", type=int, required=True)
     ap.add_argument("--degree", type=int, default=0)
     ap.set_defaults(handler=_cmd_dominance)
 
     ap = sub.add_parser("relations", help="relation sets of a presentation")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--preset", required=True,
                     choices=["demazure", "weyl", "genweyl"])
     ap.add_argument("--k", type=int, default=None)
@@ -355,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("admissible",
                         help="full admissibility report for one split")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--split", type=_split_arg, required=True,
                     help='parts separated by "|", coords by ",", '
                              'e.g. "1,1|1,0"')
@@ -366,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("split-search",
                         help="enumerate candidate splits of a weight")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--find-1-admissible", action="store_true",
                     help="print only 1-admissible candidates; "
@@ -378,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.set_defaults(handler=_cmd_split_search)
 
     ap = sub.add_parser("char", help="graded character of one module")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--level", "--k", dest="level", type=int, required=True)
     ap.add_argument("--json", action="store_true")
     ap.set_defaults(handler=_cmd_char)
 
     ap = sub.add_parser("embed-check",
                         help="certify one split against the character bound")
-    _add_system(ap, mu=True, mu_required=True)
+    _add_system(ap, mu=True)
     ap.add_argument("--split", type=_split_arg, required=True)
     ap.add_argument("--k", type=int, default=None)
     ap.add_argument("--r", type=int, required=True)
@@ -422,11 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args)
-        return args.handler(cfg)
+        rs = root_system(args.family, args.rank) if "family" in args else None
+        if "split" in args and args.k not in (None, len(args.split)):
+            raise ValueError("--k %d disagrees with %d split parts"
+                             % (args.k, len(args.split)))
+        return args.handler(args, rs)
     except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

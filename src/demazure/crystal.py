@@ -219,10 +219,14 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
     return CrystalGraph(tuple(order), tuple(edges), top)
 
 
-def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph) -> CrystalGraph:
+def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph, *,
+                   budget=10 ** 6) -> CrystalGraph:
     """Concatenation model of the tensor product: vertices are pairwise
     concatenated paths, edges recomputed by the root operators and kept when
-    the target is again a concatenation."""
+    the target is again a concatenation.  Raises RuntimeError before any
+    concatenation when the product has more than ``budget`` vertices."""
+    if len(b1.vertices) * len(b2.vertices) > budget:
+        raise RuntimeError("vertex budget exceeded")
     verts = [u.concat(v) for u in b1.vertices for v in b2.vertices]
     vset = set(verts)
     if len(vset) != len(b1.vertices) * len(b2.vertices):

@@ -94,11 +94,12 @@ class PFamily:
 def _family(kind: str, rs: RootSystem, mu, k, value) -> PFamily:
     """The family with p = value(root, sign, x) at each (root, sign, x) of
     signed_roots, and p = 0 at the other (root, sign)."""
+    mu = rs.check_weight(mu)
     entries = dict.fromkeys(((root, sign) for root in rs.positive_roots
                              for sign in "+-"), _ZERO)
     for root, sign, x in signed_roots(rs, mu):
         entries[(root, sign)] = value(root, sign, x)
-    return PFamily(kind, rs, tuple(mu), k, entries)
+    return PFamily(kind, rs, mu, k, entries)
 
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
@@ -412,6 +413,7 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     At level k = 1 the annihilator is a consequence unless d_alpha > 1 and
     the power unless d_alpha = 3 = m + 2; those come tagged 'redundant-k1'.
     """
+    rs.check_weight(mu)
     if k < 1:
         raise ValueError("level k must be >= 1")
     raw: list[Relation] = []

@@ -92,6 +92,7 @@ def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
     rejected.  `pick` chooses among the strictly negative nodes (default:
     smallest index); any choice reaches the same Lambda.
     """
+    rs.check_weight(w.finite)
     if w.level < 1:
         raise ValueError("dominance walk needs level >= 1")
     return _walk(rs, w, range(rs.rank + 1), affine_pairing, affine_reflect, pick)

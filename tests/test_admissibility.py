@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from demazure.admissibility import (balanced_split, enumerate_dominant_splits,
+from demazure.admissibility import (balanced_split, candidate_splits,
+                                    enumerate_dominant_splits,
                                     find_1_admissible, is_preadmissible,
                                     is_r_admissible, minimal_r,
                                     profile_bound_scan, pull_back, root_profile)
@@ -187,3 +188,22 @@ def test_balanced_split_rejects_wrong_length():
 def test_find_1_admissible_rejects_wrong_length():
     with pytest.raises(ValueError, match="coordinates"):
         find_1_admissible(A2, (1, -1, -5), 2)
+
+
+@pytest.mark.parametrize("mu,split", [((1,), ((1, 0), (0, 0))),
+                                      ((1, 0), ((1, 0), (0,))),
+                                      ((1, 0), ((1, 0, 0), (0, 0)))])
+def test_split_rejects_wrong_lengths(mu, split):
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        is_r_admissible(A2, mu, split, 1)
+
+
+@pytest.mark.parametrize("mu", [(1, -2), (-2, -1), (3, 0), (0, 0)])
+def test_candidate_splits_pull_back_the_dominant_enumeration(mu):
+    lam, word = finite_dominance(C2, mu)
+    for k in (1, 2, 3):
+        want = [pull_back(C2, word, s) for s in enumerate_dominant_splits(C2, lam, k)]
+        got = list(candidate_splits(C2, mu, k))
+        assert got == want
+        assert all(tuple(map(sum, zip(*s))) == mu for s in got)
+        assert all(is_preadmissible(C2, mu, s)[0] for s in got)

@@ -9,6 +9,7 @@ from demazure.characters import (GradedCharacter, demazure_character,
                                  finite_character, g0_branch,
                                  parabolic_character)
 from demazure.rootdata import root_system
+from realizations import embed_root, embed_weight, inner, realization
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -287,3 +288,84 @@ def test_g0_branch_rejects_nodes_outside_rank(nodes):
     with pytest.raises(ValueError) as parabolic:
         parabolic_character(A2, (1, 0), nodes)
     assert str(branch.value) == str(parabolic.value)
+
+
+@pytest.mark.parametrize("mu", [(1,), (1, 0, 0)])
+def test_demazure_character_rejects_wrong_length(mu):
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        demazure_character(A2, mu, 1)
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        embedding_certificate(A2, mu, (mu,), 1)
+
+
+# -- Weyl dimension formula, from the Euclidean realizations only -------------
+
+WEYL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+              ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2),
+              ("F", 4)]
+
+
+def closure_positive_roots(real):
+    """Simple-root coordinates of the positive roots: the simple roots closed
+    under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
+    with the coroot pairing taken in the realization."""
+    alpha = real["alpha"]
+    n = len(alpha)
+    found = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for beta in found:  # found grows while it is read
+        vec = embed_root(real, beta)
+        for i in range(n):
+            c = 2 * inner(real, vec, alpha[i]) / inner(real, alpha[i], alpha[i])
+            assert c.denominator == 1
+            refl = tuple(b - int(c) * (j == i) for j, b in enumerate(beta))
+            if min(refl) >= 0 and refl not in found:
+                found.append(refl)
+    return found
+
+
+def weyl_dimension(real, roots, lam):
+    """prod over the given positive roots of (lam + rho, alpha) / (rho, alpha),
+    rho the sum of the fundamental weights."""
+    rho = embed_weight(real, (1,) * len(lam))
+    shifted = embed_weight(real, tuple(c + 1 for c in lam))
+    dim = 1
+    for coords in roots:
+        a = embed_root(real, coords)
+        dim *= inner(real, shifted, a) / inner(real, rho, a)
+    assert dim.denominator == 1
+    return int(dim)
+
+
+@pytest.mark.parametrize("family,rank", WEYL_TYPES)
+def test_finite_character_dimension_is_weyl_formula(family, rank):
+    real = realization(family, rank)
+    roots = closure_positive_roots(real)
+    assert len(roots) == len(root_system(family, rank).positive_roots)
+    rs = root_system(family, rank)
+    weights = [lam for lam in itertools.product(range(3), repeat=rank) if sum(lam) <= 2]
+    if family != "F":
+        weights.append((1,) * rank)
+    for lam in weights:
+        assert finite_character(rs, lam).dimension() == weyl_dimension(real, roots, lam)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
+                                         ("A", 3), ("B", 3), ("C", 3)])
+def test_g0_branch_dimensions_are_levi_weyl_formula(family, rank):
+    real = realization(family, rank)
+    roots = closure_positive_roots(real)
+    rs = root_system(family, rank)
+    ends = (1,) + (0,) * (rank - 2) + (1,)
+    # an anti-dominant extremal weight makes the graded module g-stable
+    chars = [finite_character(rs, ends),
+             demazure_character(rs, tuple(-c for c in ends), 1)]
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(1, rank + 1), size):
+            levi = [beta for beta in roots
+                    if all(c == 0 or j + 1 in nodes for j, c in enumerate(beta))]
+            for char in chars:
+                records = g0_branch(rs, char, nodes)
+                assert sum(rec.multiplicity * rec.dimension for rec in records) \
+                    == char.dimension()
+                for rec in records:
+                    assert rec.dimension == weyl_dimension(real, levi, rec.finite)

@@ -265,3 +265,46 @@ def test_reproduce_reports_every_criterion(capsys):
     assert all(v == "PASS" for name, v in verdicts.items()
                if name != "worked-example-a2")
     assert lines[-1] == "9 of 10 criteria passed"
+
+
+A2 = ["--type", "A", "--rank", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominance", *A2, "--mu", "1", "--level", "1"],
+    ["relations", *A2, "--mu", "1", "--preset", "demazure", "--k", "1", "--set", "M"],
+    ["relations", *A2, "--mu", "1,0,0", "--preset", "genweyl", "--set", "Mpp"],
+    ["relations", *A2, "--mu=-1", "--preset", "demazure", "--k", "2"],
+    ["admissible", *A2, "--mu", "1", "--split", "1,0|0,0", "--r", "1"],
+    ["split-search", *A2, "--mu", "1,-2,0", "--k", "2"],
+    ["split-search", *A2, "--mu", "1", "--k", "2", "--balanced"],
+    ["char", *A2, "--mu", "1", "--level", "1"],
+    ["embed-check", *A2, "--mu", "1", "--split", "1,0|0,0", "--r", "1"],
+    ["admissible", *A2, "--mu", "1,0", "--split", "1,0|0", "--r", "1"],
+    ["crystal", *A2, "--lambda", "1"],
+    ["crystal", *A2, "--lambda", "1,0", "--tensor", "1,0,0"],
+    ["crystal", *A2, "--lambda", "1,0", "--component-weight", "1"],
+    ["admissible", *A2, "--mu", "1,0", "--split", "1,0|0,0", "--k", "3", "--r", "1"],
+], ids=["dominance", "relations-demazure", "relations-genweyl", "relations-simplified",
+        "admissible", "split-search", "split-search-balanced", "char", "embed-check",
+        "split-part", "lambda", "tensor", "component-weight", "k-vs-parts"])
+def test_wrong_lengths_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    want = ("disagrees with 2 split parts" if {"--k", "--split"} <= set(argv)
+            else "coordinates, rank is 2")
+    assert want in captured.err
+
+
+def test_tensor_over_budget_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code = main(["crystal", "--type", "A", "--rank", "3", "--lambda", "3,3,3",
+                 "--tensor", "3,3,3"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vertex budget exceeded" in captured.err
+    assert elapsed < 2

@@ -377,3 +377,12 @@ def test_build_crystal_budget_boundary():
     assert len(build_crystal(A2, (1, 1), budget=8).vertices) == 8
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
         build_crystal(A2, (1, 1), budget=7)
+
+
+def test_tensor_crystal_budget_boundary():
+    # 3 x 3 = 9 product vertices; the check comes before any concatenation
+    b1, b2 = build_crystal(A2, (1, 0)), build_crystal(A2, (0, 1))
+    assert len(tensor_crystal(A2, b1, b2, budget=9).vertices) == 9
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        tensor_crystal(A2, b1, b2, budget=8)
+    assert tensor_crystal(A2, b1, b2) == tensor_crystal(A2, b1, b2, budget=9)

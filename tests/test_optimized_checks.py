@@ -18,9 +18,9 @@ import demazure.characters as ch
 from demazure.admissibility import balanced_split, find_1_admissible
 from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcrystal,
                               tensor_crystal)
-from demazure.relations import demazure_p, relations_M
+from demazure.relations import demazure_p, relations_M, simplified_demazure_relations
 from demazure.rootdata import root_system
-from demazure.weights import finite_dominance
+from demazure.weights import AffineWeight, dominance_algorithm, finite_dominance
 
 A1, A2 = root_system("A", 1), root_system("A", 2)
 u, v, w = Path.straight((1, 0)), Path.straight((2, 0)), Path((), 2)
@@ -54,6 +54,11 @@ CHECKS = {
     "balanced-length": lambda: balanced_split(A2, (1, 0, 0), 2),
     "find-length": lambda: find_1_admissible(A2, (1, 0, 0), 2),
     "branch-node": lambda: ch.g0_branch(A2, ch.finite_character(A2, (1, 0)), (5,)),
+    "walk-length": lambda: dominance_algorithm(A2, AffineWeight((1,), 1, 0)),
+    "family-length": lambda: demazure_p(A2, (1,), 1),
+    "simplified-length": lambda: simplified_demazure_relations(A2, (1, 0, 0), 1),
+    "tensor-budget": lambda: tensor_crystal(A2, CrystalGraph((u, v), (), None),
+                                            CrystalGraph((u, w), (), None), budget=3),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -81,7 +86,9 @@ def test_invariants_raise_under_python_O():
         "crystal-short": "ValueError", "dominance-length": "ValueError",
         "parabolic-length": "ValueError", "finite-length": "ValueError",
         "balanced-length": "ValueError", "find-length": "ValueError",
-        "branch-node": "ValueError",
+        "branch-node": "ValueError", "walk-length": "ValueError",
+        "family-length": "ValueError", "simplified-length": "ValueError",
+        "tensor-budget": "RuntimeError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
     }

@@ -436,3 +436,13 @@ def test_boundary_exponent_matches_p():
                   and r.factors[0][0] == s - 1]
         if p(s - 1) != k:  # m < step
             assert powers and powers[0].factors[0][1] == p(s - 1) + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda mu: demazure_p(A2, mu, 1), lambda mu: weyl_p(A2, mu),
+    lambda mu: generalized_weyl_p(A2, mu),
+    lambda mu: simplified_demazure_relations(A2, mu, 1)])
+@pytest.mark.parametrize("mu", [(-1,), (-1, 0, 0)])
+def test_relation_builders_reject_wrong_length(build, mu):
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        build(mu)
