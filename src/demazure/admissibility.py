@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .rootdata import Root, RootSystem
 from .weights import finite_dominance, signed_roots
@@ -38,18 +37,18 @@ class RootProfile:
     d: int
     values: tuple[int, ...]
 
-    @cached_property
+    @property
     def x(self) -> int:
         return max(self.values)
 
-    @cached_property
+    @property
     def t(self) -> int:
         return self.x - min(self.values)
 
-    @cached_property
+    @property
     def counts(self) -> tuple[int, ...]:
-        return tuple(sum(1 for v in self.values if v == self.x - j)
-                     for j in range(self.t + 1))
+        x = self.x
+        return tuple(self.values.count(x - j) for j in range(self.t + 1))
 
     def m(self, r: int) -> int:
         if r < 1:
@@ -57,7 +56,8 @@ class RootProfile:
         return (self.x - 1) % (self.d * r) + 1
 
     def weighted_count(self) -> int:
-        return sum(j * c for j, c in enumerate(self.counts))
+        """sum_j j * counts[j]: each value is x - j for its own j."""
+        return len(self.values) * self.x - sum(self.values)
 
 
 @dataclass(frozen=True)

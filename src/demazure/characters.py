@@ -21,6 +21,8 @@ termwise, which for pairing m = lam(h_i) works out to
 
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
+Every character is D along one dominance walk's word, applied by one loop
+that stops a character past ``_TERM_BUDGET`` output terms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from dataclasses import dataclass
 
 from .admissibility import AdmissibilityReport, is_r_admissible
 from .rootdata import RootSystem
-from .weights import AffineWeight, dominance_algorithm
+from .weights import AffineWeight, _walk, dominance_algorithm
+
+_TERM_BUDGET = 3 * 10**5  # output terms summed over one character's operators
 
 
 class GradedCharacter:
@@ -121,6 +125,17 @@ def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCh
     return GradedCharacter(out)
 
 
+def _apply_word(rs: RootSystem, word, char: GradedCharacter) -> GradedCharacter:
+    """Apply D_i for each i of word, first letter first, within _TERM_BUDGET terms."""
+    terms = 0
+    for i in word:
+        char = demazure_operator(rs, i, char)
+        terms += len(char.terms)
+        if terms > _TERM_BUDGET:
+            raise RuntimeError("character budget exceeded: %d terms" % terms)
+    return char
+
+
 def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharacter:
     """Graded character of the module generated from weight ``mu`` at level ``k``.
 
@@ -130,9 +145,8 @@ def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharac
     """
     mu = tuple(mu)
     lam, word = dominance_algorithm(rs, AffineWeight(mu, k, 0), pick=pick)
-    char = GradedCharacter.from_weight(lam.finite, k, lam.degree)
-    for i in reversed(word):
-        char = demazure_operator(rs, i, char)
+    char = _apply_word(rs, reversed(word),
+                       GradedCharacter.from_weight(lam.finite, k, lam.degree))
     if (char.coefficient(mu, k, 0) != 1 or any(g < 0 for (_, _, g) in char.terms)
             or any(c <= 0 for c in char.terms.values())):
         raise RuntimeError("character of %r at level %d is not normalised and positive"
@@ -144,22 +158,18 @@ def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> G
     """Character of the irreducible module with highest weight ``finite``
     for the sub-root-system generated by ``nodes``.
 
-    Iterates the Demazure operators on the nodes to a fixed point, which for
-    a weight dominant on the nodes is the full character of the parabolic
-    irreducible.
+    D along the walk of -finite to the dominant chamber of the nodes, first
+    letter first: the word is reduced for the shortest u with u(finite) =
+    w_J(finite), and D_u e^finite = D_{w_J} e^finite since D_v fixes
+    e^finite when v fixes finite.
     """
     nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
     finite = rs.check_weight(finite)
     if any(finite[i - 1] < 0 for i in nodes):
         raise ValueError("weight %r not dominant on nodes %r" % (finite, nodes))
-    char = GradedCharacter.from_weight(finite, level, grade)
-    for _ in range(10 ** 4):
-        prev = char.terms
-        for i in nodes:
-            char = demazure_operator(rs, i, char)
-        if char.terms == prev:
-            return char
-    raise RuntimeError("parabolic character failed to stabilize")
+    _, word = _walk(rs, tuple(-c for c in finite), nodes,
+                    lambda _, mu, i: mu[i - 1], RootSystem.reflect, None)
+    return _apply_word(rs, word, GradedCharacter.from_weight(finite, level, grade))
 
 
 def finite_character(rs: RootSystem, finite) -> GradedCharacter:

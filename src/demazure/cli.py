@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .acceptance import run_all
@@ -40,6 +39,11 @@ def _word(text: str) -> tuple[int, ...]:
     if text == "":
         return ()
     return _coords(text)
+
+
+def _tensor_arg(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    coords_text, _, word_text = text.partition(":")
+    return _coords(coords_text), _word(word_text)
 
 
 def _split_arg(text: str) -> tuple[tuple[int, ...], ...]:
@@ -208,14 +212,9 @@ def _cmd_embed_check(a, rs) -> int:
     return 0 if ok else 1
 
 
-def _tensor_factor(rs, arg, budget):
-    coords_text, _, word_text = arg.partition(":")
-    lam = _coords(coords_text)
-    b = build_crystal(rs, lam, budget=budget)
-    word = _word(word_text)
-    if word:
-        b = demazure_subcrystal(rs, b, word, lam)
-    return b
+def _demazure_crystal(rs, lam, word):
+    b = build_crystal(rs, lam)
+    return demazure_subcrystal(rs, b, word, lam) if word else b
 
 
 def _cmd_crystal(a, rs) -> int:
@@ -223,12 +222,9 @@ def _cmd_crystal(a, rs) -> int:
         raise ValueError("--decompose needs --json when --dot is given")
     if a.component_weight is not None:
         rs.check_weight(a.component_weight)
-    budget = int(os.environ.get("DEMAZURE_VERTEX_BUDGET", 10 ** 6))
-    b = build_crystal(rs, a.lam, budget=budget)
-    if a.word:
-        b = demazure_subcrystal(rs, b, a.word, a.lam)
-    for arg in a.tensor or ():
-        b = tensor_crystal(rs, b, _tensor_factor(rs, arg, budget), budget=budget)
+    b = _demazure_crystal(rs, a.lam, a.word)
+    for lam, word in a.tensor or ():
+        b = tensor_crystal(rs, b, _demazure_crystal(rs, lam, word))
     if a.component_weight is not None:
         try:
             b = component_of(b, a.component_weight)
@@ -352,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dominant highest weight")
     ap.add_argument("--word", type=_word, default=(),
                     help="take the subcrystal of this Weyl word")
-    ap.add_argument("--tensor", action="append", metavar="COORDS[:WORD]",
+    ap.add_argument("--tensor", type=_tensor_arg, action="append",
+                    metavar="COORDS[:WORD]",
                     help="tensor with another crystal, e.g. 0,1:2; "
                              "repeatable")
     ap.add_argument("--component-weight", type=_coords, default=None,

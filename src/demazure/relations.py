@@ -53,16 +53,9 @@ _ZERO = PFunction((0,), 0)
 
 
 def _graded_values(x: int, step: int) -> PFunction:
-    # p(s) = max{0, x - step*s}; empty when x <= 0
-    if x <= 0:
-        return _ZERO
-    vals = []
-    s = 0
-    while x - step * s > 0:
-        vals.append(x - step * s)
-        s += 1
-    vals.append(0)
-    return PFunction(tuple(vals), s)
+    # p(s) = max{0, x - step*s} for s = 0..ceil(x/step); (0,) when x <= 0
+    vals = (*range(x, 0, -step), 0)
+    return PFunction(vals, len(vals) - 1)
 
 
 def _descending_values(boundary: int, start: int) -> PFunction:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import demazure
+from demazure import characters
 from demazure.cli import main
 
 
@@ -68,6 +73,29 @@ def test_relations_budget_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert "tuple budget exceeded" in captured.err
+
+
+def test_char_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(characters, "_TERM_BUDGET", 6)  # the character needs 7
+    code = main(["char", "--type", "A", "--rank", "2", "--mu", "1,-2",
+                 "--level", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "character budget exceeded" in captured.err
+
+
+@pytest.mark.parametrize("factor", ["x", "1,0:x"])
+def test_crystal_malformed_tensor_exits_2(factor):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "demazure", "crystal", "--type", "A",
+                           "--rank", "2", "--lambda", "1,0", "--tensor", factor],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "argument --tensor: expected comma-separated integers" in proc.stderr
 
 
 def test_rootdata_oversized_rank_exits_2_fast(capsys):

@@ -36,6 +36,13 @@ def character_check(name):
     ch.demazure_operator = lambda rs, i, char: BAD[name]
     return ch.demazure_character(A1, MU, K)
 
+def budget_check():
+    budget, ch._TERM_BUDGET = ch._TERM_BUDGET, 0
+    try:
+        return ch.finite_character(A2, (1, 0))
+    finally:
+        ch._TERM_BUDGET = budget
+
 CHECKS = {
     "weight": lambda: Path(((Fraction(1, 2), 0),), 2).weight(),
     "concat": lambda: u.concat(Path.straight((1,))),
@@ -59,6 +66,7 @@ CHECKS = {
     "simplified-length": lambda: simplified_demazure_relations(A2, (1, 0, 0), 1),
     "tensor-budget": lambda: tensor_crystal(A2, CrystalGraph((u, v), (), None),
                                             CrystalGraph((u, w), (), None), budget=3),
+    "character-budget": budget_check,
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -88,7 +96,7 @@ def test_invariants_raise_under_python_O():
         "balanced-length": "ValueError", "find-length": "ValueError",
         "branch-node": "ValueError", "walk-length": "ValueError",
         "family-length": "ValueError", "simplified-length": "ValueError",
-        "tensor-budget": "RuntimeError",
+        "tensor-budget": "RuntimeError", "character-budget": "RuntimeError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
     }
