@@ -197,6 +197,7 @@ def enumerate_dominant_splits(rs: RootSystem, lam, k: int):
 
     Deterministic order: per node, compositions give earlier parts the
     larger share first; nodes vary with the first node outermost."""
+    lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("enumerate_dominant_splits needs a dominant weight")
     if k < 1:

@@ -22,7 +22,8 @@ termwise, which for pairing m = lam(h_i) works out to
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
 Every character is D along one dominance walk's word, applied by one loop
-that stops a character past ``_TERM_BUDGET`` output terms.
+that stops a character past ``_TERM_BUDGET`` output terms; one application
+stops before its strings would emit more than that.
 """
 
 from __future__ import annotations
@@ -58,14 +59,6 @@ class GradedCharacter:
     def dimension(self):
         return sum(self.terms.values())
 
-    def grades(self):
-        return tuple(sorted({g for (_, _, g) in self.terms}))
-
-    def grade_slice(self, grade):
-        """Map (finite, level) -> multiplicity for one grade."""
-        return {(fin, lvl): c for (fin, lvl, g), c in self.terms.items()
-                if g == grade}
-
     def sorted_terms(self):
         return tuple(sorted(self.terms.items(),
                             key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])))
@@ -87,7 +80,7 @@ class GradedCharacter:
         out = {}
         for (f1, l1, g1), c1 in self.terms.items():
             for (f2, l2, g2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(f1, f2)), l1 + l2, g1 + g2)
+                key = (tuple(a + b for a, b in zip(f1, f2, strict=True)), l1 + l2, g1 + g2)
                 out[key] = out.get(key, 0) + c1 * c2
         return GradedCharacter(out)
 
@@ -111,6 +104,7 @@ def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCh
     else:
         alpha_w, grade_drop = tuple(row[i - 1] for row in rs.cartan), 0
     out = {}
+    emitted = 0
     for (fin, lvl, grade), mult in char.terms.items():
         m = lvl - rs.pairing(fin, rs.theta) if i == 0 else fin[i - 1]
         # j steps down the alpha_i string; m == -1 contributes nothing
@@ -118,6 +112,9 @@ def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCh
             js, sign = range(m + 1), 1
         else:
             js, sign = range(-1, m, -1), -1
+        emitted += len(js)
+        if emitted > _TERM_BUDGET:
+            raise RuntimeError("character budget exceeded: %d terms" % emitted)
         for j in js:
             key = (tuple(f - j * a for f, a in zip(fin, alpha_w)), lvl,
                    grade - j * grade_drop)
@@ -210,8 +207,11 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
     nodeset = set(nodes)
     records = []
-    for grade in char.grades():
-        remaining = char.grade_slice(grade)
+    slices = {}
+    for (fin, lvl, grade), c in char.terms.items():
+        slices.setdefault(grade, {})[(fin, lvl)] = c
+    for grade in sorted(slices):
+        remaining = slices[grade]
         while remaining:
             top = None
             for fin, lvl in sorted(remaining, reverse=True):

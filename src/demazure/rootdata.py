@@ -15,8 +15,11 @@ Conventions used throughout the package:
   coordinate mu[i-1], and ``theta_weight`` holds the fundamental
   coordinates of the highest root theta.
 
-Everything is exact integer arithmetic, the root closure included; only
-``root_coordinates`` returns Fractions.  No floats.
+Everything is exact integer arithmetic, the root closure included.  No
+floats.  ``root_coordinates`` inverts no matrix: the Killing form is 2h^v
+times the normalised form, so sum_{alpha>0} (lam, alpha) alpha = h^v lam with
+h^v = 1 + theta(h_1 + ... + h_n), and (lam, alpha) = lam(h_alpha)/d(alpha).
+Its entries are ints, and Fractions only off the root lattice.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 Weight = tuple[int, ...]
 
@@ -163,7 +167,6 @@ class RootSystem:
         self.theta_weight: Weight = self.root_weight(self.theta)
         if self._d[self.theta] != 1 or any(c < 0 for c in self.theta_weight):
             raise AssertionError("highest root must be long and dominant")
-        self._inv_cartan: tuple[tuple[Fraction, ...], ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -229,32 +232,20 @@ class RootSystem:
             mu = self.reflect(i, mu)
         return mu
 
-    def root_coordinates(self, diff) -> tuple[Fraction, ...]:
-        """Simple-root coordinates of a fundamental-coordinate vector."""
-        if self._inv_cartan is None:
-            self._inv_cartan = _invert(self.cartan)
-        inv = self._inv_cartan
-        n = self.rank
-        return tuple(sum(inv[i][j] * diff[j] for j in range(n)) for i in range(n))
+    def root_coordinates(self, diff) -> tuple:
+        """Simple-root coordinates of a fundamental-coordinate vector: the sum
+        of (lcm(d)/d(alpha)) diff(h_alpha) alpha over lcm(d) h^v."""
+        scale = lcm(*self.d_simple)
+        norm = scale * (1 + sum(self._coroot[self.theta]))
+        total = [0] * self.rank
+        for p, root in zip(self.pairings(diff), self.positive_roots):
+            if p:
+                p *= scale // self._d[root]
+                total = [t + p * c for t, c in zip(total, root.coords)]
+        return tuple(t // norm if t % norm == 0 else Fraction(t, norm) for t in total)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"
-
-
-def _invert(a) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(a)
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        scale = work[col][col]
-        work[col] = [x / scale for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 @lru_cache(maxsize=None)

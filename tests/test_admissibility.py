@@ -190,6 +190,12 @@ def test_find_1_admissible_rejects_wrong_length():
         find_1_admissible(A2, (1, -1, -5), 2)
 
 
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 0)])
+def test_enumerate_dominant_splits_rejects_wrong_length(lam):
+    with pytest.raises(ValueError, match="coordinates, rank is 2"):
+        next(enumerate_dominant_splits(A2, lam, 2))
+
+
 @pytest.mark.parametrize("mu,split", [((1,), ((1, 0), (0, 0))),
                                       ((1, 0), ((1, 0), (0,))),
                                       ((1, 0), ((1, 0, 0), (0, 0)))])

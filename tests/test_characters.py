@@ -45,6 +45,13 @@ def test_tensor_adds_all_slots():
     assert t.terms == {((1, -1), 4, 3): 1}
 
 
+def test_tensor_rejects_different_lengths():
+    with pytest.raises(ValueError):
+        GradedCharacter.from_weight((1, 0), 1).tensor(GradedCharacter.from_weight((1,), 1))
+    with pytest.raises(ValueError):
+        GradedCharacter.from_weight((1,), 1).tensor(GradedCharacter.from_weight((1, 0), 1))
+
+
 def test_operator_string_cases():
     # m >= 0 expands down the string
     c = demazure_operator(A2, 1, GradedCharacter.from_weight((2, 0), 1))

@@ -85,6 +85,17 @@ def test_char_budget_exits_2(capsys, monkeypatch):
     assert "character budget exceeded" in captured.err
 
 
+def test_char_one_application_budget_exits_2(capsys):
+    start = time.perf_counter()
+    code = main(["char", "--type", "A", "--rank", "1", "--mu=-1000000",
+                 "--level", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "character budget exceeded" in captured.err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("factor", ["x", "1,0:x"])
 def test_crystal_malformed_tensor_exits_2(factor):
     env = dict(os.environ,

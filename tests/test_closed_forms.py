@@ -5,6 +5,7 @@ p-values."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -122,6 +123,31 @@ def test_term_budget_boundary(monkeypatch, compute):
     monkeypatch.setattr(ch, "_TERM_BUDGET", total - 1)
     with pytest.raises(RuntimeError, match="character budget exceeded"):
         compute()
+
+
+@pytest.mark.parametrize("terms,emitted", [({((5,), 5, 0): 1}, 6),
+                                           ({((-7,), 1, 0): 1}, 6),
+                                           ({((3,), 1, 0): 2, ((-4,), 1, 1): -1}, 7)])
+def test_operator_budget_boundary(monkeypatch, terms, emitted):
+    # D_1 emits m + 1 terms for a term of pairing m >= 0 and -m - 1 for m <= -2
+    rs, char = root_system("A", 1), GradedCharacter(terms)
+    monkeypatch.setattr(ch, "_TERM_BUDGET", emitted)
+    assert len(demazure_operator(rs, 1, char).terms) == emitted
+    monkeypatch.setattr(ch, "_TERM_BUDGET", emitted - 1)
+    with pytest.raises(RuntimeError, match="character budget exceeded"):
+        demazure_operator(rs, 1, char)
+
+
+def test_one_application_is_bounded():
+    # D_1 on the dominant (10^6) at level 10^6 would emit 10^6 + 1 terms
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="character budget exceeded"):
+            demazure_character(root_system("A", 1), (-10**6,), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 # -- RootProfile against the formulas ------------------------------------------

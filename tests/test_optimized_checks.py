@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 import demazure.characters as ch
-from demazure.admissibility import balanced_split, find_1_admissible
+from demazure.admissibility import (balanced_split, enumerate_dominant_splits,
+                                   find_1_admissible)
 from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcrystal,
                               tensor_crystal)
 from demazure.relations import demazure_p, relations_M, simplified_demazure_relations
@@ -67,6 +68,10 @@ CHECKS = {
     "tensor-budget": lambda: tensor_crystal(A2, CrystalGraph((u, v), (), None),
                                             CrystalGraph((u, w), (), None), budget=3),
     "character-budget": budget_check,
+    "enumerate-length": lambda: list(enumerate_dominant_splits(A2, (1,), 2)),
+    "tensor-length": lambda: GC.from_weight((1, 0), 1).tensor(GC.from_weight((1,), 1)),
+    # D_1 on (10^6) at level 10^6 would emit 10^6 + 1 terms in one application
+    "operator-budget": lambda: ch.demazure_character(A1, (-10**6,), 10**6),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -99,4 +104,6 @@ def test_invariants_raise_under_python_O():
         "tensor-budget": "RuntimeError", "character-budget": "RuntimeError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
+        "enumerate-length": "ValueError", "tensor-length": "ValueError",
+        "operator-budget": "RuntimeError",
     }
