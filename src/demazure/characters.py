@@ -19,6 +19,8 @@ termwise, which for pairing m = lam(h_i) works out to
     m = -1 : 0
     m <= -2: -(e^{lam + alpha_i} + ... + e^{lam - (m+1) alpha_i})
 
+Each string is walked from its first term by adding one fixed step, -alpha_i
+or +alpha_i with its grade, and node 0 reads the coroot of theta once.
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
 Every character is D along one dominance walk's word, applied by one loop
@@ -29,6 +31,8 @@ stops before its strings would emit more than that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import add, ge, mul
 
 from .admissibility import AdmissibilityReport, is_r_admissible
 from .rootdata import RootSystem
@@ -77,10 +81,13 @@ class GradedCharacter:
 
     def tensor(self, other):
         """Convolution: finite parts, levels and grades all add."""
+        ranks = {len(f) for f, _, _ in self.terms} | {len(f) for f, _, _ in other.terms}
+        if self.terms and other.terms and len(ranks) > 1:
+            raise ValueError("tensor of characters of different ranks %r" % sorted(ranks))
         out = {}
         for (f1, l1, g1), c1 in self.terms.items():
             for (f2, l2, g2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(f1, f2, strict=True)), l1 + l2, g1 + g2)
+                key = (tuple(map(add, f1, f2)), l1 + l2, g1 + g2)
                 out[key] = out.get(key, 0) + c1 * c2
         return GradedCharacter(out)
 
@@ -101,24 +108,27 @@ def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCh
     # finite part and grade drop of alpha_i; alpha_0 = delta - theta
     if i == 0:
         alpha_w, grade_drop = tuple(-t for t in rs.theta_weight), 1
+        theta_co = rs.coroot_vector(rs.theta)
     else:
         alpha_w, grade_drop = tuple(row[i - 1] for row in rs.cartan), 0
+    minus_alpha = tuple(-a for a in alpha_w)
     out = {}
     emitted = 0
     for (fin, lvl, grade), mult in char.terms.items():
-        m = lvl - rs.pairing(fin, rs.theta) if i == 0 else fin[i - 1]
-        # j steps down the alpha_i string; m == -1 contributes nothing
+        m = lvl - sum(map(mul, fin, theta_co)) if i == 0 else fin[i - 1]
+        # walk down from lam, or up from lam + alpha_i; m == -1 adds nothing
         if m >= 0:
-            js, sign = range(m + 1), 1
+            count, step, grade_step = m + 1, minus_alpha, -grade_drop
         else:
-            js, sign = range(-1, m, -1), -1
-        emitted += len(js)
+            count, step, grade_step = -m - 1, alpha_w, grade_drop
+            fin, grade, mult = tuple(map(add, fin, alpha_w)), grade + grade_drop, -mult
+        emitted += count
         if emitted > _TERM_BUDGET:
             raise RuntimeError("character budget exceeded: %d terms" % emitted)
-        for j in js:
-            key = (tuple(f - j * a for f, a in zip(fin, alpha_w)), lvl,
-                   grade - j * grade_drop)
-            out[key] = out.get(key, 0) + sign * mult
+        for _ in range(count):
+            key = (fin, lvl, grade)
+            out[key] = out.get(key, 0) + mult
+            fin, grade = tuple(map(add, fin, step)), grade + grade_step
     return GradedCharacter(out)
 
 
@@ -173,22 +183,6 @@ def finite_character(rs: RootSystem, finite) -> GradedCharacter:
     return parabolic_character(rs, finite, range(1, rs.rank + 1))
 
 
-def _above(rs: RootSystem, nodeset, upper, lower):
-    """True if upper - lower is a nonzero Z>=0 combination of the simple
-    roots indexed by nodeset."""
-    diff = tuple(u - l for u, l in zip(upper, lower))
-    if all(v == 0 for v in diff):
-        return False
-    coords = rs.root_coordinates(diff)
-    for pos, c in enumerate(coords, start=1):
-        if pos in nodeset:
-            if c.denominator != 1 or c < 0:
-                return False
-        elif c != 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class BranchRecord:
     finite: tuple
@@ -203,37 +197,64 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     ``nodes`` by repeatedly peeling the irreducible generated by a maximal
     weight.  Raises ValueError if a slice is not a nonnegative sum of
     parabolic irreducible characters on those nodes.
+
+    A weight o lies above a weight w of its level when o - w is a nonzero
+    Z>=0 combination of the simple roots on ``nodes``; then o has the larger
+    node-height, the sum of the simple-root coordinates on the nodes.  Each
+    peel takes the first weight, in descending ``(finite, level)`` order,
+    that no remaining weight of larger node-height lies above.  Records run
+    by grade, then in peeling order.
     """
     nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
-    nodeset = set(nodes)
-    records = []
-    slices = {}
+    # column i: N times the i-th simple-root coordinate of each fundamental weight
+    rows = [rs._scaled_coordinates(tuple(int(i == j) for i in range(rs.rank)))
+            for j in range(rs.rank)]
+    norm, cols = rows[0][1], tuple(zip(*(row for row, _ in rows)))
+    irreps, records, slices = {}, [], {}
     for (fin, lvl, grade), c in char.terms.items():
         slices.setdefault(grade, {})[(fin, lvl)] = c
     for grade in sorted(slices):
         remaining = slices[grade]
+        # o lies above w only if they share the level, the off-node coordinates
+        # and the on-node residues mod N; a group lists (node-height, on-node
+        # quotients by N, weight), highest first
+        place, groups = {}, {}
+        for key in remaining:
+            scaled = [sum(map(mul, key[0], col)) for col in cols]
+            on = tuple(scaled[i - 1] // norm for i in nodes)
+            for i in nodes:
+                scaled[i - 1] %= norm
+            group = groups.setdefault((key[1], tuple(scaled)), [])
+            group.append((sum(on), on, key))
+            place[key] = (group[-1], group)
+        for group in groups.values():
+            group.sort(reverse=True)
+        order = sorted(remaining, reverse=True)
         while remaining:
-            top = None
-            for fin, lvl in sorted(remaining, reverse=True):
-                rivals = (o for o in remaining if o[1] == lvl and o[0] != fin)
-                if not any(_above(rs, nodeset, ofin, fin) for ofin, _ in rivals):
-                    top = (fin, lvl)
-                    break
+            for top in order:
+                if top in remaining:
+                    (height, on, _), group = place[top]
+                    rivals = takewhile(lambda entry: entry[0] > height, group)
+                    if not any(o in remaining and all(map(ge, q, on)) for _, q, o in rivals):
+                        break
             fin, lvl = top
             mult = remaining[top]
             if mult < 0:
                 raise ValueError("negative multiplicity at %r grade %d" % (fin, grade))
-            irrep = parabolic_character(rs, fin, nodes, level=lvl, grade=grade)
-            for (f2, l2, _), c in irrep.terms.items():
-                left = remaining.get((f2, l2), 0) - mult * c
+            if fin not in irreps:  # level and grade are only labels
+                irreps[fin] = [(f2, c) for (f2, _, _), c in
+                               parabolic_character(rs, fin, nodes).terms.items()]
+            irrep = irreps[fin]
+            for f2, c in irrep:
+                left = remaining.get((f2, lvl), 0) - mult * c
                 if left < 0:
                     raise ValueError("slice at grade %d is not a nonnegative "
                                      "combination on nodes %r" % (grade, nodes))
                 if left:
-                    remaining[(f2, l2)] = left
+                    remaining[(f2, lvl)] = left
                 else:
-                    remaining.pop((f2, l2), None)
-            records.append(BranchRecord(fin, lvl, grade, mult, irrep.dimension()))
+                    remaining.pop((f2, lvl), None)
+            records.append(BranchRecord(fin, lvl, grade, mult, sum(c for _, c in irrep)))
     return tuple(records)
 
 

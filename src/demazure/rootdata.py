@@ -233,16 +233,20 @@ class RootSystem:
         return mu
 
     def root_coordinates(self, diff) -> tuple:
-        """Simple-root coordinates of a fundamental-coordinate vector: the sum
-        of (lcm(d)/d(alpha)) diff(h_alpha) alpha over lcm(d) h^v."""
+        """Simple-root coordinates of a fundamental-coordinate vector."""
+        total, norm = self._scaled_coordinates(diff)
+        return tuple(t // norm if t % norm == 0 else Fraction(t, norm) for t in total)
+
+    def _scaled_coordinates(self, diff) -> tuple[tuple[int, ...], int]:
+        """(N times the simple-root coordinates of diff, N) with N = lcm(d) h^v:
+        the sum of (lcm(d)/d(alpha)) diff(h_alpha) alpha, all in integers."""
         scale = lcm(*self.d_simple)
-        norm = scale * (1 + sum(self._coroot[self.theta]))
         total = [0] * self.rank
         for p, root in zip(self.pairings(diff), self.positive_roots):
             if p:
                 p *= scale // self._d[root]
                 total = [t + p * c for t, c in zip(total, root.coords)]
-        return tuple(t // norm if t % norm == 0 else Fraction(t, norm) for t in total)
+        return tuple(total), scale * (1 + sum(self._coroot[self.theta]))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"

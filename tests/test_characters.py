@@ -52,6 +52,21 @@ def test_tensor_rejects_different_lengths():
         GradedCharacter.from_weight((1,), 1).tensor(GradedCharacter.from_weight((1, 0), 1))
 
 
+def test_tensor_rank_check_boundary():
+    # ranks 2 and 3 raise in either order, also when only one term of a
+    # factor has the other rank; an empty factor pairs with any rank
+    rank2 = GradedCharacter({((1, 0), 1, 0): 1, ((0, 1), 1, 1): 2})
+    rank3 = GradedCharacter({((1, 0, 0), 1, 0): 1, ((0, 0, 1), 2, 1): -1})
+    mixed = GradedCharacter({((0, 0), 1, 0): 1, ((0, 0, 1), 1, 0): 1})
+    for a, b in ((rank2, rank3), (rank3, rank2), (rank2, mixed), (mixed, rank2)):
+        with pytest.raises(ValueError, match="different ranks"):
+            a.tensor(b)
+    assert rank2.tensor(GradedCharacter()) == GradedCharacter()
+    assert GradedCharacter().tensor(rank3) == GradedCharacter()
+    assert rank2.tensor(rank2).dimension() == 9
+    assert rank3.tensor(rank3).terms[((2, 0, 0), 2, 0)] == 1
+
+
 def test_operator_string_cases():
     # m >= 0 expands down the string
     c = demazure_operator(A2, 1, GradedCharacter.from_weight((2, 0), 1))

@@ -1,11 +1,13 @@
 """Root coordinates from the pairing table, against the Fraction inverse
-Cartan matrix they replace, and ``g0_branch`` with either of them."""
+Cartan matrix they replace, and ``g0_branch`` on scaled integer coordinates
+against the earlier ``g0_branch`` on that matrix."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import branch_reference as reference
 from demazure.characters import demazure_character, g0_branch
 from demazure.rootdata import RootSystem, root_system
 
@@ -98,11 +100,11 @@ def test_root_coordinates_off_lattice_and_length():
             root_system("A", 2).root_coordinates(bad)
 
 
-# -- g0_branch with the old coordinates swapped in ------------------------------
+# -- g0_branch on scaled coordinates, against the earlier g0_branch ------------
 
-def _branch(rs, char, nodes):
+def _branch(branch, rs, char, nodes):
     try:
-        return g0_branch(rs, char, nodes)
+        return branch(rs, char, nodes)
     except ValueError as exc:
         return str(exc)
 
@@ -110,6 +112,9 @@ def _branch(rs, char, nodes):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
                                          ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_g0_branch_matches_inverse_cartan(monkeypatch, family, rank):
+    """``g0_branch`` reads integer scaled coordinates only, and its records
+    are those of the earlier ``g0_branch`` (``branch_reference``) run on the
+    Fraction inverse Cartan matrix."""
     rs = RootSystem(family, rank)
     rng = random.Random("branch %s%d" % (family, rank))
     # rank 3 and 4 stay at level 1 with coordinate sum -2.. to keep it quick
@@ -123,20 +128,28 @@ def test_g0_branch_matches_inverse_cartan(monkeypatch, family, rank):
             nodes = tuple(i for i in range(1, rank + 1) if rng.random() < 0.6)
             cases.append((demazure_character(rs, mu, rng.randint(1, most)), nodes))
     seen = []
-    new_coordinates = RootSystem.root_coordinates
+    new_scaled = RootSystem._scaled_coordinates
 
-    def recording(self, diff):
-        coords = new_coordinates(self, diff)
-        seen.extend(coords)
+    def recording_scaled(self, diff):
+        coords, norm = new_scaled(self, diff)
+        seen.extend(coords + (norm,))
+        return coords, norm
+
+    monkeypatch.setattr(RootSystem, "_scaled_coordinates", recording_scaled)
+    new = [_branch(g0_branch, rs, char, nodes) for char, nodes in cases]
+    assert seen and all(type(c) is int for c in seen)
+    old_seen = []
+
+    def recording_inverse(self, diff):
+        coords = inverse_cartan_root_coordinates(self, diff)
+        old_seen.extend(coords)
         return coords
 
-    monkeypatch.setattr(RootSystem, "root_coordinates", recording)
-    new = [_branch(rs, char, nodes) for char, nodes in cases]
-    # within one slice every difference lies in the root lattice
-    assert seen and all(type(c) is int for c in seen)
     monkeypatch.setattr(RootSystem, "_inv_cartan", None, raising=False)
-    monkeypatch.setattr(RootSystem, "root_coordinates", inverse_cartan_root_coordinates)
-    old = [_branch(rs, char, nodes) for char, nodes in cases]
+    monkeypatch.setattr(RootSystem, "root_coordinates", recording_inverse)
+    old = [_branch(reference.g0_branch, rs, char, nodes) for char, nodes in cases]
+    # within one slice every difference lies in the root lattice
+    assert old_seen and all(c.denominator == 1 for c in old_seen)
     assert new == old
     assert any(isinstance(records, tuple) and records for records in new)
     for records in new:
