@@ -100,9 +100,10 @@ def embedding_grid():
             for k in (1, 2, 3):
                 for cand in candidate_splits(rs, mu, k):
                     for r in (1, 2):
-                        if not is_r_admissible(rs, mu, cand, r).admissible:
+                        rep = is_r_admissible(rs, mu, cand, r)
+                        if not rep.admissible:
                             continue
-                        cert = embedding_certificate(rs, mu, cand, r)
+                        cert = embedding_certificate(rs, mu, cand, r, report=rep)
                         if cert.verdict() == "Certified":
                             certified += 1
                         else:

@@ -10,7 +10,8 @@ the values may spread when mu itself pairs large.
 
 Every test makes one pass over a split: the split is checked once, each
 part is paired once with every positive root (``rs.pairings``), and the
-sign witnesses and all (root, sign) profiles read those pairings.
+sign witnesses, then the (root, sign) profiles when there is no witness,
+read those pairings by root position.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rootdata import Root, RootSystem
-from .weights import finite_dominance, signed_roots
+from .weights import _signed_positions, finite_dominance
 
 
 @dataclass(frozen=True)
@@ -103,25 +104,25 @@ def _check_split(rs: RootSystem, mu, split) -> None:
         raise ValueError(f"split sums to {total}, not {tuple(mu)}")
 
 
-def _profile(rs: RootSystem, root: Root, sign: str, pairs) -> RootProfile:
+def _profile(root: Root, sign: str, d: int, pairs) -> RootProfile:
     """The profile of (root, sign) from the parts' pairings with root."""
     values = tuple(-v for v in pairs) if sign == "+" else tuple(pairs)
-    return RootProfile(root, sign, rs.d(root), values)
+    return RootProfile(root, sign, d, values)
 
 
 def _split_pass(rs: RootSystem, mu, split):
     """Check the split and pair each part once.  Returns the sign witnesses
-    (root, part index, pairing) and a (RootProfile, x) for every
-    (root, sign, x) of signed_roots(rs, mu)."""
+    (root, part index, pairing) and, only when there are none, a
+    (RootProfile, x) for every (root, sign, x) of signed_roots(rs, mu)."""
     _check_split(rs, mu, split)
-    columns = dict(zip(rs.positive_roots, zip(*(rs.pairings(p) for p in split))))
+    pairs, roots = rs.pairings(mu), rs.positive_roots
+    columns = tuple(zip(*(rs.pairings(p) for p in split)))
     # a witness pairs nonzero, and to zero or the opposite sign of mu
-    witnesses = tuple((root, idx, v)
-                      for root, pair in zip(rs.positive_roots, rs.pairings(mu))
-                      for idx, v in enumerate(columns[root]) if v and pair * v <= 0)
-    profiles = tuple((_profile(rs, root, sign, columns[root]), x)
-                     for root, sign, x in signed_roots(rs, mu))
-    return witnesses, profiles
+    witnesses = tuple((root, idx, v) for root, pair, column in zip(roots, pairs, columns)
+                      for idx, v in enumerate(column) if v and pair * v <= 0)
+    return witnesses, () if witnesses else tuple(
+        (_profile(roots[j], sign, rs._d_at[j], columns[j]), x)
+        for j, sign, x in _signed_positions(pairs))
 
 
 def _record(prof: RootProfile, x: int, k: int, r: int) -> ConditionRecord:
@@ -141,7 +142,7 @@ def is_preadmissible(rs: RootSystem, mu, split):
 
 
 def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
-    return _profile(rs, root, sign, [rs.pairing(part, root) for part in split])
+    return _profile(root, sign, rs.d(root), [rs.pairing(part, root) for part in split])
 
 
 def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:

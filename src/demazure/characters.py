@@ -30,15 +30,18 @@ stops before its strings would emit more than that.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from operator import add, ge, mul
+from threading import Lock
 
-from .admissibility import AdmissibilityReport, is_r_admissible
+from .admissibility import AdmissibilityReport, _check_split, is_r_admissible
 from .rootdata import RootSystem
 from .weights import AffineWeight, _walk, dominance_algorithm
 
 _TERM_BUDGET = 3 * 10**5  # output terms summed over one character's operators
+_MEMO_TERMS = 1 << 16  # terms the certificate memo keeps, summed over its characters
 
 
 class GradedCharacter:
@@ -47,11 +50,15 @@ class GradedCharacter:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (fin, lvl, grade), mult in terms.items():
-                if mult:
-                    self.terms[(tuple(fin), lvl, grade)] = mult
+        self.terms = {(tuple(fin), lvl, grade): mult
+                      for (fin, lvl, grade), mult in (terms or {}).items() if mult}
+
+    @classmethod
+    def _adopt(cls, terms):
+        """Wrap a finished dict, uncopied: tuple keys, no zero multiplicity."""
+        char = object.__new__(cls)
+        char.terms = terms
+        return char
 
     @classmethod
     def from_weight(cls, finite, level, grade=0):
@@ -68,13 +75,13 @@ class GradedCharacter:
                             key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])))
 
     def scale(self, c):
-        return GradedCharacter({key: c * mult for key, mult in self.terms.items()})
+        return GradedCharacter._adopt({key: c * m for key, m in self.terms.items() if c})
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, mult in other.terms.items():
             out[key] = out.get(key, 0) + mult
-        return GradedCharacter(out)
+        return GradedCharacter._adopt({key: mult for key, mult in out.items() if mult})
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -89,7 +96,7 @@ class GradedCharacter:
             for (f2, l2, g2), c2 in other.terms.items():
                 key = (tuple(map(add, f1, f2)), l1 + l2, g1 + g2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return GradedCharacter(out)
+        return GradedCharacter._adopt({key: c for key, c in out.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, GradedCharacter) and self.terms == other.terms
@@ -129,7 +136,7 @@ def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCh
             key = (fin, lvl, grade)
             out[key] = out.get(key, 0) + mult
             fin, grade = tuple(map(add, fin, step)), grade + grade_step
-    return GradedCharacter(out)
+    return GradedCharacter._adopt({key: c for key, c in out.items() if c})
 
 
 def _apply_word(rs: RootSystem, word, char: GradedCharacter) -> GradedCharacter:
@@ -281,35 +288,64 @@ class EmbeddingCertificate:
         return "Certified" if self.certified else "Violation"
 
 
-def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertificate:
+_memo, _memo_lock = OrderedDict(), Lock()  # (rs, mu, k) -> flat terms, oldest use first
+_memo_terms = 0  # terms held in _memo
+
+
+def _character(rs: RootSystem, mu, k: int) -> GradedCharacter:
+    """demazure_character(rs, mu, k) as a fresh object.  The memo keeps it as a
+    flat tuple of ints (finite coordinates, grade, multiplicity per term),
+    up to _MEMO_TERMS terms in all; a larger character is not kept."""
+    global _memo_terms
+    key, n = (rs, mu, k), rs.rank
+    with _memo_lock:
+        if (flat := _memo.pop(key, None)) is None:
+            char = demazure_character(rs, mu, k)
+            if len(char.terms) > _MEMO_TERMS:
+                return char
+            flat = tuple(chain.from_iterable(f + (g, c) for (f, _, g), c in char.terms.items()))
+            _memo_terms += len(char.terms)
+            while _memo_terms > _MEMO_TERMS:
+                (old_rs, _, _), old = _memo.popitem(last=False)
+                _memo_terms -= len(old) // (old_rs.rank + 2)
+        _memo[key] = flat
+    return GradedCharacter._adopt({(flat[j:j + n], k, flat[j + n]): flat[j + n + 1]
+                                   for j in range(0, len(flat), n + 2)})
+
+
+def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
+                          report: AdmissibilityReport | None = None) -> EmbeddingCertificate:
     """Coefficientwise comparison backing the character containment
 
         char(mu, r*k)  <=  char(mu_1, r) * ... * char(mu_k, r)
 
     for a splitting mu = mu_1 + ... + mu_k.  Both extremal coefficients at
-    (mu, grade 0) must equal 1.  ``report`` is the r-admissibility report of
-    the split; the comparison itself runs either way, so an inadmissible
-    split can still be probed for violations.
+    (mu, grade 0) must equal 1.  ``report`` is is_r_admissible(rs, mu, split,
+    r), computed here unless the caller passes it; the comparison runs
+    either way, so an inadmissible split can still be probed for
+    violations.  ``rhs`` multiplies the parts in split order, ``failures``
+    follow ``lhs.sorted_terms()``, and both characters are fresh objects.
     """
     mu = tuple(mu)
     split = tuple(tuple(p) for p in split)
-    report = is_r_admissible(rs, mu, split, r)
+    if report is None:
+        report = is_r_admissible(rs, mu, split, r)
+    elif (report.mu, report.split, report.r) != (mu, split, r):
+        raise ValueError("report is for another mu, split or r")
+    else:
+        _check_split(rs, mu, split)
     k = len(split)
-    lhs = demazure_character(rs, mu, r * k)
-    rhs = None
-    for part in split:
-        factor = demazure_character(rs, part, r)
-        rhs = factor if rhs is None else rhs.tensor(factor)
+    lhs, rhs = _character(rs, mu, r * k), _character(rs, split[0], r)
+    for part in split[1:]:
+        rhs = rhs.tensor(_character(rs, part, r))
     failures = []
     for (fin, lvl, grade), mult in lhs.sorted_terms():
         have = rhs.coefficient(fin, lvl, grade)
         if mult > have:
             failures.append((fin, grade, mult, have))
-    extremal_ok = (lhs.coefficient(mu, r * k, 0) == 1
-                   and rhs.coefficient(mu, r * k, 0) == 1)
-    if not extremal_ok:
-        failures.append((mu, 0, lhs.coefficient(mu, r * k, 0),
-                         rhs.coefficient(mu, r * k, 0)))
+    extremal = (lhs.coefficient(mu, r * k, 0), rhs.coefficient(mu, r * k, 0))
+    if extremal != (1, 1):
+        failures.append((mu, 0) + extremal)
     return EmbeddingCertificate(mu=mu, split=split, r=r,
                                 certified=not failures,
                                 report=report,

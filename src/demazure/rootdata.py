@@ -154,6 +154,7 @@ class RootSystem:
         self.positive_roots: tuple[Root, ...] = tuple(
             Root(m) for m in sorted(found, key=lambda m: (sum(m), m)))
         self._d: dict[Root, int] = {r: d[r.coords] for r in self.positive_roots}
+        self._d_at: tuple[int, ...] = tuple(self._d.values())  # in positive_roots order
         self._coroot: dict[Root, tuple[int, ...]] = {
             r: tuple(d[r.coords] * c // di for c, di in zip(r.coords, ds))
             for r in self.positive_roots}

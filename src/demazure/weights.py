@@ -42,11 +42,17 @@ def signed_roots(rs: RootSystem, mu):
     positive_roots order: sign '+' with x = -mu(h_alpha) where
     mu(h_alpha) <= 0, sign '-' with x = mu(h_alpha) where mu(h_alpha) >= 0,
     both ('+' first) at pairing zero.  So x >= 0 always."""
-    for root, pair in zip(rs.positive_roots, rs.pairings(mu)):
+    roots = rs.positive_roots
+    return ((roots[j], sign, x) for j, sign, x in _signed_positions(rs.pairings(mu)))
+
+
+def _signed_positions(pairs):
+    """signed_roots on rs.pairings(mu), naming each root by its position."""
+    for j, pair in enumerate(pairs):
         if pair <= 0:
-            yield root, "+", -pair
+            yield j, "+", -pair
         if pair >= 0:
-            yield root, "-", pair
+            yield j, "-", pair
 
 
 def affine_pairing(rs: RootSystem, w: AffineWeight, i: int) -> int:
