@@ -125,11 +125,18 @@ def _split_pass(rs: RootSystem, mu, split):
         for j, sign, x in _signed_positions(pairs))
 
 
-def _record(prof: RootProfile, x: int, k: int, r: int) -> ConditionRecord:
-    cond_b = None
-    if prof.sign == "-" and x > k * prof.d * r:
-        cond_b = prof.x >= prof.t + prof.d * r
-    return ConditionRecord(prof, prof.m(r) * k > prof.weighted_count(), cond_b)
+def _scan(prof: RootProfile) -> tuple[int, int, int]:
+    """(x, weighted_count(), min) of the profile, one pass over the values each."""
+    top = max(prof.values)
+    return top, len(prof.values) * top - sum(prof.values), min(prof.values)
+
+
+def _conditions(prof: RootProfile, x: int, k: int, r: int, scan) -> tuple:
+    """(condition A, condition B) from _scan(prof); B's x >= t + d*r is min >= d*r."""
+    top, weighted, low = scan
+    dr = prof.d * r
+    return ((top - 1) % dr + 1) * k > weighted, (
+        low >= dr if prof.sign == "-" and x > k * dr else None)
 
 
 def is_preadmissible(rs: RootSystem, mu, split):
@@ -154,8 +161,9 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     if r < 1:
         raise ValueError("r must be >= 1")
     witnesses, profiles = _split_pass(rs, mu, split)
-    records = () if witnesses else tuple(_record(prof, x, len(split), r)
-                                         for prof, x in profiles)
+    records = () if witnesses else tuple(
+        ConditionRecord(prof, *_conditions(prof, x, len(split), r, _scan(prof)))
+        for prof, x in profiles)
     return AdmissibilityReport(tuple(mu), tuple(tuple(p) for p in split), r,
                                not witnesses, witnesses, records)
 
@@ -172,11 +180,13 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     witnesses, profiles = _split_pass(rs, mu, split)
     if witnesses:
         return None
-    stop = max(1, *(prof.x for prof, _ in profiles))
+    scans = [(prof, x, _scan(prof)) for prof, x in profiles]
+    stop = max(1, *(scan[0] for _, _, scan in scans))
     if r_max is not None:
         stop = min(stop, r_max)
     for r in range(1, stop + 1):
-        if all(_record(prof, x, len(split), r).ok for prof, x in profiles):
+        if all(a and b is not False for a, b in
+               (_conditions(prof, x, len(split), r, scan) for prof, x, scan in scans)):
             return r
     return None
 

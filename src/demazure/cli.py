@@ -102,20 +102,16 @@ def _relation_json(rel):
 
 
 def _cmd_relations(a, rs) -> int:
-    if a.preset == "demazure":
-        if a.k is None:
-            raise ValueError("--k is required for the demazure preset")
-        fam = demazure_p(rs, a.mu, a.k)
-    elif a.preset == "weyl":
-        fam = weyl_p(rs, a.mu)
-    else:
-        fam = generalized_weyl_p(rs, a.mu)
-    if a.set == "simplified":
+    if a.preset == "demazure" and a.k is None:
+        raise ValueError("--k is required for the demazure preset")
+    if a.set == "simplified":  # reads no p family
         if a.preset != "demazure":
-            raise ValueError("the simplified set exists only for the "
-                             "demazure preset")
+            raise ValueError("the simplified set exists only for the demazure preset")
         rels = simplified_demazure_relations(rs, a.mu, a.k)
     else:
+        fam = {"demazure": lambda: demazure_p(rs, a.mu, a.k),
+               "weyl": lambda: weyl_p(rs, a.mu),
+               "genweyl": lambda: generalized_weyl_p(rs, a.mu)}[a.preset]()
         rels = {"M": relations_M, "Mprime": relations_Mprime,
                 "Mpp": relations_Mpp}[a.set](fam)
     _emit({"preset": a.preset, "mu": list(a.mu), "k": a.k, "set": a.set,

@@ -23,17 +23,23 @@ cyclic vector, degrees strictly decreasing.  Kinds:
 * 'monomial'  - a single power (x (x) t^i)^(p(i)+1).
 * 'tuple'     - a mixed product coming from the upward-closed condition
                 sum_j (j - i + 1) a_j >= p(i) + 1.
+
+Every relation set lists its rows sorted by (root, sign, kind, index with
+None first, factors), roots compared by coordinates and '+' before '-'.
+The builders emit the rows in that order; nothing is sorted afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 
 from .rootdata import Root, RootSystem
-from .weights import signed_roots
+from .weights import _signed_positions, signed_roots
 
 _TUPLE_BUDGET = 10**5  # minimal tuples one relation set may generate
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,13 @@ class PFamily:
     def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
         """(root, sign) combinations whose relations are imposed."""
         return tuple((root, sign) for root, sign, _ in signed_roots(self.rs, self.mu))
+
+    @cached_property
+    def _walk(self) -> tuple:
+        """(root, sign, x, p) of each applicable pair, in the order relation sets list."""
+        rs, roots = self.rs, self.rs.positive_roots
+        return tuple((roots[j], sign, x, self.entries[(roots[j], sign)]) for j, sign, x
+                     in _signed_positions(rs.pairings(self.mu), rs._by_coords))
 
 
 def _family(kind: str, rs: RootSystem, mu, k, value) -> PFamily:
@@ -194,50 +207,62 @@ class Relation:
     tags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        degs = [d for d, _ in self.factors]
-        if degs != sorted(degs, reverse=True) or len(set(degs)) != len(degs):
-            raise ValueError("factor degrees must be strictly decreasing")
-        if any(a < 1 for _, a in self.factors):
-            raise ValueError("factor exponents must be positive")
+        """ValueError unless the degrees strictly decrease and every exponent
+        is positive; plain loops with no calls, one test for one factor."""
+        factors = self.factors
+        if len(factors) > 1:
+            prev = None
+            for d, _ in factors:
+                if prev is not None and d >= prev:
+                    raise ValueError("factor degrees must be strictly decreasing")
+                prev = d
+        for _, a in factors:
+            if a < 1:
+                raise ValueError("factor exponents must be positive")
 
 
-def _relation_sort_key(rel: Relation):
-    return (rel.root, rel.sign, rel.kind, rel.index if rel.index is not None else -1,
-            rel.factors)
+def _row(root, sign, factors, kind, index, tags) -> Relation:
+    """A Relation filled in without the frozen dataclass __init__, then checked."""
+    rel = _new(Relation)
+    d = rel.__dict__
+    d["root"], d["sign"], d["factors"], d["kind"], d["index"], d["tags"] = (
+        root, sign, factors, kind, index, tags)
+    rel.__post_init__()
+    return rel
 
 
-def _minimal_tuples(target: int, nslots: int,
-                    budget: int = _TUPLE_BUDGET) -> list[tuple[int, ...]]:
-    """Minimal a in Z_+^nslots with sum_j (j+1) a_j >= target (product order).
+def _minimal_tuples(target: int, nslots: int, budget: int = _TUPLE_BUDGET, lo: int = 0):
+    """Minimal a in Z_+^nslots with sum_j (j+1) a_j >= target (product order),
+    as factors ((lo + j, a_j), ...) over the used slots, top slot first, in
+    increasing factor order; RuntimeError once more than `budget` come out.
 
-    With w = sum_j (j+1) a_j and m = j0 + 1 the weight of the lowest used
-    slot j0, a is minimal exactly when target <= w < target + m, since
-    taking one from slot j0 is the smallest drop in w.  So each minimal a
-    is a choice of the slots above j0 weighing less than target, completed
-    by the least a_j0 that reaches it.  Each step of the search below emits
-    one tuple, so its cost is linear in the output.  Raises RuntimeError
-    once more than `budget` tuples are produced.
+    With w = sum_j (j+1) a_j and j0 the lowest used slot, a is minimal exactly
+    when target <= w < target + j0 + 1 (taking one from slot j0 is the least
+    drop in w): a choice of the slots above j0 weighing less than target,
+    completed by the least a_j0 that reaches it.  The search picks used slots
+    from the top down, lowest slot and smallest count first, which is the
+    factor order.  It holds one frame per used slot, and each step emits a
+    tuple or opens a frame that emits one: cost linear in the output.
     """
     if target <= 0:
-        return [(0,) * nslots]
-    out = []
-    # (slot j, weight w < target of the slots above j, (a_{j+1}, ..., a_{nslots-1}))
-    stack = [(nslots - 1, 0, ())]
+        yield ()
+        return
+    # a frame: factors so far, their weight w < target, top free slot, next slot, count
+    count, stack = 0, [((), 0, nslots - 1, 0, 1)]
     while stack:
-        j, w, above = stack.pop()
-        need = -(-(target - w) // (j + 1))
-        out.append((0,) * j + (need,) + above)
-        if len(out) > budget:
-            raise RuntimeError("tuple budget exceeded: a relation set needs more "
-                               "than %d minimal tuples" % _TUPLE_BUDGET)
-        if j:
-            stack.extend((j - 1, w + (j + 1) * c, (c,) + above) for c in range(need))
-    return sorted(out)
-
-
-def _tuple_relation(root: Root, sign: str, i: int, a: tuple[int, ...], tags) -> Relation:
-    factors = tuple((i + j, a[j]) for j in reversed(range(len(a))) if a[j] > 0)
-    return Relation(root, sign, factors, "tuple", index=i, tags=tags)
+        head, w, top, j, c = stack.pop()
+        while j <= top:
+            need = -(-(target - w) // (j + 1))
+            if c < need and j:
+                stack.append((head, w, top, j, c + 1))
+                head, w, top, j, c = head + ((lo + j, c),), w + (j + 1) * c, j - 1, 0, 1
+                continue
+            count += 1
+            if count > budget:
+                raise RuntimeError("tuple budget exceeded: a relation set needs more "
+                                   "than %d minimal tuples" % _TUPLE_BUDGET)
+            yield head + ((lo + j, need),)
+            j, c = j + 1, 1
 
 
 def relations_M(fam: PFamily) -> tuple[Relation, ...]:
@@ -247,50 +272,51 @@ def relations_M(fam: PFamily) -> tuple[Relation, ...]:
     All families of the set share one budget of _TUPLE_BUDGET tuples;
     past it a RuntimeError is raised instead of running for minutes."""
     rels = []
-    for root, sign in fam.applicable_pairs():
-        p = fam.pfunction(root, sign)
+    for root, sign, _, p in fam._walk:
         s = p.cutoff
         for i in range(1, s + 1):
-            for a in _minimal_tuples(p(i) + 1, s - i + 1, _TUPLE_BUDGET - len(rels)):
-                rels.append(_tuple_relation(root, sign, i, a, ("M",)))
-    return tuple(sorted(rels, key=_relation_sort_key))
+            rels += [_row(root, sign, f, "tuple", i, ("M",)) for f in
+                     _minimal_tuples(p(i) + 1, s - i + 1, _TUPLE_BUDGET - len(rels), i)]
+    return tuple(rels)
 
 
 def relations_Mprime(fam: PFamily) -> tuple[Relation, ...]:
     """Minimal tuples kept only at indices i with xi_{i+1} < xi_i and
     filtered by the cap sum a_j <= xi_i."""
     rels = []
-    for root, sign in fam.applicable_pairs():
-        p = fam.pfunction(root, sign)
+    for root, sign, _, p in fam._walk:
         s = p.cutoff
         xi = xi_tuple(p) + (0,)
         for i in range(1, s + 1):
-            if not xi[i] < xi[i - 1]:
-                continue
-            for a in _minimal_tuples(p(i) + 1, s - i + 1):
-                if sum(a) <= xi[i - 1]:
-                    rels.append(_tuple_relation(root, sign, i, a, ("Mprime",)))
-    return tuple(sorted(rels, key=_relation_sort_key))
+            if xi[i] < xi[i - 1]:
+                rels += [_row(root, sign, f, "tuple", i, ("Mprime",))
+                         for f in _minimal_tuples(p(i) + 1, s - i + 1, lo=i)
+                         if sum(a for _, a in f) <= xi[i - 1]]
+    return tuple(rels)
+
+
+def _with_annihilators(walk, own_rows, tags) -> tuple[Relation, ...]:
+    """own_rows(root, sign, x, *rest) for each (root, sign, x, *rest) of walk,
+    in key order, with the annihilators: the '+' family's x^- (x) tC[t] after
+    the root's '+' rows, the '-' family's x^+ (x) C[t] before all its rows."""
+    rels = []
+    for root, sign, x, *rest in walk:
+        if (x == 0) == (sign == "+"):  # the root has a '-' family; first visit
+            rels.append(_row(root, "+", ((0, 1),), "cartan", None, tags))
+        rels += own_rows(root, sign, x, *rest)
+        if sign == "+":
+            rels.append(_row(root, "-", ((1, 1),), "cartan", None, tags))
+    return tuple(rels)
 
 
 def relations_Mpp(fam: PFamily) -> tuple[Relation, ...]:
     """Pure powers (x (x) t^i)^(p(i)+1), 1 <= i <= cutoff, plus the
     annihilator family and the boundary power of the presentation."""
-    rels = []
-    for root, sign in fam.applicable_pairs():
-        p = fam.pfunction(root, sign)
-        opp = "-" if sign == "+" else "+"
-        start = 1 if opp == "-" else 0  # lowering generators only enter from degree 1
-        rels.append(Relation(root, opp, ((start, 1),), "cartan", tags=("Mpp",)))
-        eps = 0 if sign == "+" else 1
-        rels.append(Relation(root, sign, ((eps, p(eps) + 1),), "monomial",
-                             index=eps, tags=("Mpp",)))
-        for i in range(1, p.cutoff + 1):
-            if i == eps:
-                continue
-            rels.append(Relation(root, sign, ((i, p(i) + 1),), "monomial",
-                                 index=i, tags=("Mpp",)))
-    return tuple(sorted(rels, key=_relation_sort_key))
+    def powers(root, sign, x, p):
+        eps = 0 if sign == "+" else 1  # the boundary power's degree
+        return [_row(root, sign, ((i, p(i) + 1),), "monomial", i, ("Mpp",))
+                for i in range(eps, max(eps, p.cutoff) + 1)]
+    return _with_annihilators(fam._walk, powers, ("Mpp",))
 
 
 class IsoClass(Enum):
@@ -301,16 +327,9 @@ class IsoClass(Enum):
 
 
 def classify_xi(xi: tuple[int, ...]) -> IsoClass:
-    s = len(xi)
-    first = all(x == xi[0] for x in xi[: s - 1]) if s >= 2 else True
-    second = (xi[0] != xi[1]) if s >= 2 else True
-    if first and second:
-        return IsoClass.BOTH
-    if first:
-        return IsoClass.FIRST
-    if second:
-        return IsoClass.SECOND
-    return IsoClass.NEITHER
+    first = len(set(xi[:-1])) <= 1  # constant head: all equal but the last
+    second = len(xi) < 2 or xi[0] != xi[1]  # separated head
+    return IsoClass(("Neither", "SecondIso", "FirstIso", "Both")[2 * first + second])
 
 
 def mmmr_classify(fam: PFamily) -> dict:
@@ -327,27 +346,18 @@ def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
     support restricted to lower <= p < upper.  Sparse ((p, b_p), ...) form."""
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
-    hi = s + 1 if upper is None else min(upper, s + 1)
-    out = []
 
-    def rec(p, parts, weight, acc):
-        if p < lower:
-            if parts == 0 and weight == 0:
-                out.append(tuple(reversed(acc)))
+    def rec(p, parts, weight):
+        # the vectors on lower..p, p falling; index 0 takes every part left
+        if p < lower or p == 0:
+            if weight == 0 and (parts == 0 or p == 0 >= lower):
+                yield ((0, parts),) if parts else ()
             return
-        if p == 0:
-            if weight == 0:
-                rec(-1, 0, 0, acc + [(0, parts)] if parts else acc)
-            return
-        top = min(parts, weight // p)
-        for b in range(top + 1):
-            rec(p - 1, parts - b, weight - p * b, acc + [(p, b)] if b else acc)
+        for b in range(min(parts, weight // p) + 1):
+            for rest in rec(p - 1, parts - b, weight - p * b):
+                yield rest + ((p, b),) if b else rest
 
-    if hi > lower:
-        rec(hi - 1, r, s, [])
-    elif r == 0 and s == 0:
-        out.append(())
-    return tuple(sorted(out))
+    return tuple(sorted(rec(s if upper is None else min(upper, s + 1) - 1, r, s)))
 
 
 _VARIANTS = ("plain", "truncated_k", "from_k", "t_shifted")
@@ -365,12 +375,8 @@ def expand_x_element(variant: str, r: int, s: int, k: int | None = None):
         raise ValueError(f"variant must be one of {_VARIANTS}")
     if variant in ("truncated_k", "from_k") and (k is None or k < 0):
         raise ValueError("this variant needs a bound k >= 0")
-    if variant == "truncated_k":
-        vectors = s_sets(r, s, upper=k)
-    elif variant == "from_k":
-        vectors = s_sets(r, s, lower=k)
-    else:
-        vectors = s_sets(r, s)
+    vectors = s_sets(r, s, lower=k if variant == "from_k" else 0,
+                     upper=k if variant == "truncated_k" else None)
     shift = 1 if variant == "t_shifted" else 0
     return tuple((vec, tuple((p + shift, b) for p, b in vec)) for vec in vectors)
 
@@ -406,40 +412,26 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     At level k = 1 the annihilator is a consequence unless d_alpha > 1 and
     the power unless d_alpha = 3 = m + 2; those come tagged 'redundant-k1'.
     """
-    rs.check_weight(mu)
     if k < 1:
         raise ValueError("level k must be >= 1")
-    raw: list[Relation] = []
-    for root, sign, x in signed_roots(rs, mu):
-        d = rs.d(root)
-        step = d * k
-        if x > 0:
-            s, m = sm_pair(x, step)
-            if m < step and (sign == "+" or s >= 2):
-                tags = ("simplified",)
-                if k == 1 and not (d == 3 and m == 1):
-                    tags += ("redundant-k1",)
-                raw.append(Relation(root, sign, ((s - 1, m + 1),), "monomial",
-                                    tags=tags))
-            tags = ("simplified",)
-            if k == 1 and d == 1:
-                tags += ("redundant-k1",)
-            raw.append(Relation(root, sign, ((s, 1),), "monomial", tags=tags))
-        if sign == "-":
-            raw.append(Relation(root, "+", ((0, 1),), "cartan", tags=("mathieu",)))
-            raw.append(Relation(root, "-", ((1, max(0, x - step) + 1),),
-                                "monomial", tags=("mathieu",)))
-        else:
-            raw.append(Relation(root, "-", ((1, 1),), "cartan", tags=("mathieu",)))
-            raw.append(Relation(root, "+", ((0, x + 1),), "monomial",
-                                tags=("mathieu",)))
-    merged: dict[tuple, Relation] = {}
-    for rel in raw:
-        key = (rel.root, rel.sign, rel.factors, rel.kind)
-        if key in merged:
-            tags = tuple(dict.fromkeys(merged[key].tags + rel.tags))
-            merged[key] = Relation(rel.root, rel.sign, rel.factors, rel.kind,
-                                   index=merged[key].index, tags=tags)
-        else:
-            merged[key] = rel
-    return tuple(sorted(merged.values(), key=_relation_sort_key))
+    mu, roots = rs.check_weight(mu), rs.positive_roots
+    walk = ((roots[j], sign, x, rs._d_at[j])
+            for j, sign, x in _signed_positions(rs.pairings(mu), rs._by_coords))
+    return _with_annihilators(walk, partial(_sm_rows, k=k), ("mathieu",))
+
+
+def _sm_rows(root: Root, sign: str, x: int, d: int, k: int) -> list[Relation]:
+    """The monomials of one (root, sign) in factor order: the boundary power,
+    then the power and the annihilator of sm_pair(x, step).  Degrees never
+    decrease, and a row of the boundary's degree (s = 1 for '+', s <= 2 for
+    '-') equals the boundary power: the two are listed once, with both tags."""
+    step, tags = d * k, ("simplified", "redundant-k1")
+    rows = [((0, x + 1) if sign == "+" else (1, max(0, x - step) + 1), ("mathieu",))]
+    if x > 0:
+        s, m = sm_pair(x, step)
+        if m < step and (sign == "+" or s >= 2):
+            rows.append(((s - 1, m + 1), tags[:1 + (k == 1 and not (d == 3 and m == 1))]))
+        rows.append(((s, 1), tags[:1 + (k == 1 and d == 1)]))
+    if len(rows) > 1 and rows[1][0] == rows[0][0]:
+        rows[:2] = [(rows[0][0], rows[1][1] + ("mathieu",))]
+    return [_row(root, sign, (f,), "monomial", None, t) for f, t in rows]

@@ -151,8 +151,9 @@ class RootSystem:
         if any(d[m] * c % di for m in found for c, di in zip(m, ds)):
             raise AssertionError(f"{self.family}{n}: non-integral coroot pairing")
 
-        self.positive_roots: tuple[Root, ...] = tuple(
-            Root(m) for m in sorted(found, key=lambda m: (sum(m), m)))
+        found.sort(key=lambda m: (sum(m), m))
+        self.positive_roots: tuple[Root, ...] = tuple(map(Root, found))
+        self._by_coords = tuple(sorted(range(len(found)), key=found.__getitem__))  # Root order
         self._d: dict[Root, int] = {r: d[r.coords] for r in self.positive_roots}
         self._d_at: tuple[int, ...] = tuple(self._d.values())  # in positive_roots order
         self._coroot: dict[Root, tuple[int, ...]] = {

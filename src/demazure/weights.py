@@ -46,9 +46,10 @@ def signed_roots(rs: RootSystem, mu):
     return ((roots[j], sign, x) for j, sign, x in _signed_positions(rs.pairings(mu)))
 
 
-def _signed_positions(pairs):
-    """signed_roots on rs.pairings(mu), naming each root by its position."""
-    for j, pair in enumerate(pairs):
+def _signed_positions(pairs, order=None):
+    """signed_roots on rs.pairings(mu), naming roots by position, in `order` if given."""
+    for j in order or range(len(pairs)):
+        pair = pairs[j]
         if pair <= 0:
             yield j, "+", -pair
         if pair >= 0:

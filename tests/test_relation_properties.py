@@ -1,0 +1,97 @@
+"""Properties of the relation sets on bounded random presentations
+(hypothesis), and the fail-fast tuple budget under a memory cap."""
+
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from demazure.relations import (Relation, demazure_p, generalized_weyl_p,
+                                relations_M, relations_Mpp, relations_Mprime,
+                                simplified_demazure_relations, weyl_p)
+from demazure.rootdata import root_system
+from relations_reference import _relation_sort_key
+
+SYSTEMS = [root_system(f, n) for f, n in (("A", 1), ("A", 2), ("B", 2), ("C", 2),
+                                          ("G", 2), ("A", 3), ("B", 3))]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@st.composite
+def presentations(draw):
+    """(rs, mu, family, k): |mu(h_alpha)| <= 8, so no family has more than
+    eight slots."""
+    rs = draw(st.sampled_from(SYSTEMS))
+    mu = tuple(draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    if max(map(abs, rs.pairings(mu))) > 8:  # keep the signs only
+        mu = tuple((c > 0) - (c < 0) for c in mu)
+    k = draw(st.integers(1, 3))
+    preset = draw(st.sampled_from(("demazure", "weyl", "genweyl")))
+    if preset == "weyl" and max(mu) <= 0:
+        return rs, mu, weyl_p(rs, mu), k
+    if preset == "genweyl":
+        return rs, mu, generalized_weyl_p(rs, mu), k
+    return rs, mu, demazure_p(rs, mu, k), k
+
+
+def _sets(rs, mu, fam, k):
+    return (relations_M(fam), relations_Mprime(fam), relations_Mpp(fam),
+            simplified_demazure_relations(rs, mu, k))
+
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(presentations())
+def test_sets_sorted_and_rows_round_trip(case):
+    for rels in _sets(*case):
+        assert list(rels) == sorted(rels, key=_relation_sort_key)
+        keys = [_relation_sort_key(r) for r in rels]
+        assert len(set(keys)) == len(keys)
+        for rel in rels:
+            copy = Relation(rel.root, rel.sign, rel.factors, rel.kind, rel.index, rel.tags)
+            assert copy == rel and hash(copy) == hash(rel) and repr(copy) == repr(rel)
+
+
+def _monomial_keys(rels):
+    return {(r.root, r.sign, r.index, r.factors) for r in rels}
+
+
+@PROPERTY
+@given(presentations())
+def test_mprime_and_mpp_monomials_lie_in_m(case):
+    m, mprime, mpp, _ = _sets(*case)
+    fam = case[2]
+    assert _monomial_keys(mprime) <= _monomial_keys(m)
+    # M ranges over 1 <= i <= cutoff; the '-' boundary power sits at index 1
+    # also when the cutoff is 0, and then has no M row to match
+    assert _monomial_keys(
+        r for r in mpp if r.kind == "monomial"
+        and 1 <= r.index <= fam.pfunction(r.root, r.sign).cutoff) <= _monomial_keys(m)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+def test_m_budget_fails_fast_in_bounded_memory():
+    """A single family with 10,000 slots: the sparse search reaches the tuple
+    budget long before memory grows with the slot count.  Under the 512 MB
+    address-space cap a dense search would end in MemoryError instead."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "demazure", "relations", "--type", "A", "--rank", "1",
+         "--mu=-10000", "--preset", "demazure", "--k", "1", "--set", "M"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=_cap_memory,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "tuple budget exceeded" in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 30

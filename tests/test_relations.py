@@ -146,11 +146,19 @@ def _brute_minimal(target, nslots):
     return sorted(a for a in cand if not dominated(a))
 
 
+def _as_factors(dense, lo=0):
+    """Dense minimal tuples as the sparse factors _minimal_tuples yields,
+    ((lo + j, a_j), ...) over the used slots from the top, in factor order."""
+    return sorted(tuple((lo + j, a[j]) for j in reversed(range(len(a))) if a[j])
+                  for a in dense)
+
+
 def test_minimal_tuples_match_brute_force():
     from demazure.relations import _minimal_tuples
     for target in range(0, 11):
         for nslots in range(1, 6):
-            assert _minimal_tuples(target, nslots) == _brute_minimal(target, nslots)
+            assert list(_minimal_tuples(target, nslots)) == \
+                _as_factors(_brute_minimal(target, nslots))
 
 
 # The box walk that generated minimal tuples before the direct search, kept
@@ -175,7 +183,9 @@ def _box_walk_minimal(target: int, nslots: int) -> list[tuple[int, ...]]:
 def test_minimal_tuples_match_box_walk(nslots):
     from demazure.relations import _minimal_tuples
     for target in range(0, 13):
-        assert _minimal_tuples(target, nslots) == _box_walk_minimal(target, nslots)
+        for lo in (0, 3):
+            assert list(_minimal_tuples(target, nslots, lo=lo)) == \
+                _as_factors(_box_walk_minimal(target, nslots), lo)
 
 
 def _small_weights(rs):
@@ -209,7 +219,8 @@ def test_relation_sets_match_box_walk(monkeypatch, rs, mu, preset, k):
            "genweyl": lambda: generalized_weyl_p(rs, mu)}[preset]()
     got = relations_M(fam), relations_Mprime(fam)
     monkeypatch.setattr(relations, "_minimal_tuples",
-                        lambda target, nslots, budget=None: _box_walk_minimal(target, nslots))
+                        lambda target, nslots, budget=None, lo=0:
+                        _as_factors(_box_walk_minimal(target, nslots), lo))
     assert got == (relations_M(fam), relations_Mprime(fam))
 
 
@@ -219,9 +230,9 @@ def test_relations_m_budget():
         relations_M(demazure_p(A1, (-60,), 1))
     # (10, 10) has 76 minimal tuples; one call stops at its own budget
     from demazure.relations import _minimal_tuples
-    assert len(_minimal_tuples(10, 10, budget=76)) == 76
+    assert len(list(_minimal_tuples(10, 10, budget=76))) == 76
     with pytest.raises(RuntimeError, match="tuple budget exceeded"):
-        _minimal_tuples(10, 10, budget=75)
+        list(_minimal_tuples(10, 10, budget=75))
 
 
 def test_relations_m_a1_example():
