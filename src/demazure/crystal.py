@@ -224,7 +224,9 @@ def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph, *,
     """Concatenation model of the tensor product: vertices are pairwise
     concatenated paths, edges recomputed by the root operators and kept when
     the target is again a concatenation.  Raises RuntimeError before any
-    concatenation when the product has more than ``budget`` vertices."""
+    concatenation when the product has more than ``budget`` vertices.
+    Factors are in Littelmann's order: u of b1 and v of b2 give the path u*v.
+    The order can decide a component (the README's "Conventions" has one)."""
     if len(b1.vertices) * len(b2.vertices) > budget:
         raise RuntimeError("vertex budget exceeded")
     verts = [u.concat(v) for u in b1.vertices for v in b2.vertices]
@@ -263,13 +265,7 @@ def demazure_subcrystal(rs: RootSystem, b: CrystalGraph, word, lam) -> CrystalGr
     vertex reach, and it grows monotonically as letters are appended."""
     lam = tuple(lam)
     fmap = _edge_maps(b)
-    if b.highest is not None:
-        top = b.highest
-    else:
-        tops = [v for v in b.vertices if v.weight() == lam]
-        if len(tops) != 1:
-            raise ValueError("no unique vertex of weight %r" % (lam,))
-        top = tops[0]
+    top = b.highest if b.highest is not None else _vertex_of_weight(b, lam)
     if top.weight() != lam:
         raise ValueError("highest vertex has weight %r, expected %r"
                          % (top.weight(), lam))
@@ -286,37 +282,37 @@ def demazure_subcrystal(rs: RootSystem, b: CrystalGraph, word, lam) -> CrystalGr
     keep = (top,)
     for i in reversed(tuple(word)):
         keep = _reach(keep, lambda u: (fmap[(u, i)],) if (u, i) in fmap else ())
-    keep = set(keep)
-    verts = tuple(v for v in b.vertices if v in keep)
-    edges = tuple(e for e in b.edges if e[0] in keep and e[1] in keep)
-    highest = b.highest if b.highest in keep else None
-    return CrystalGraph(verts, edges, highest)
+    return _restrict(b, set(keep))
 
 
-def _components(b: CrystalGraph):
-    """Vertex sets of the connected components, arrows taken both ways."""
+def _vertex_of_weight(b: CrystalGraph, weight) -> Path:
+    """The unique vertex of the given weight; ValueError when there is none or more."""
+    matches = [v for v in b.vertices if v.weight() == weight]
+    if len(matches) != 1:
+        raise ValueError("%d vertices of weight %r" % (len(matches), weight))
+    return matches[0]
+
+
+def _restrict(b: CrystalGraph, keep) -> CrystalGraph:
+    """The subgraph on the vertex set keep, vertices and edges in b's order."""
+    return CrystalGraph(tuple(v for v in b.vertices if v in keep),
+                        tuple(e for e in b.edges if e[0] in keep and e[1] in keep),
+                        b.highest if b.highest in keep else None)
+
+
+def _undirected(b: CrystalGraph):
+    """The neighbours of a vertex, arrows taken both ways, as a function."""
     adj = collections.defaultdict(list)
     for u, v, _ in b.edges:
         adj[u].append(v)
         adj[v].append(u)
-    remaining = set(b.vertices)
-    while remaining:
-        comp = set(_reach((remaining.pop(),), adj.__getitem__))
-        remaining -= comp
-        yield comp
+    return adj.__getitem__
 
 
 def component_of(b: CrystalGraph, weight) -> CrystalGraph:
     """Undirected connected component of the unique vertex of the given weight."""
-    weight = tuple(weight)
-    matches = [v for v in b.vertices if v.weight() == weight]
-    if len(matches) != 1:
-        raise ValueError("%d vertices of weight %r" % (len(matches), weight))
-    keep = next(comp for comp in _components(b) if matches[0] in comp)
-    verts = tuple(v for v in b.vertices if v in keep)
-    edges = tuple(e for e in b.edges if e[0] in keep)
-    highest = b.highest if b.highest in keep else None
-    return CrystalGraph(verts, edges, highest)
+    start = _vertex_of_weight(b, tuple(weight))
+    return _restrict(b, set(_reach((start,), _undirected(b))))
 
 
 def filter_arrows(b: CrystalGraph, nodes) -> CrystalGraph:
@@ -358,7 +354,10 @@ def crystal_decomposition(b: CrystalGraph, nodes):
     fb = filter_arrows(b, nodes)
     incoming = collections.Counter(v for _, v, _ in fb.edges)
     pieces = collections.Counter()
-    for comp in _components(fb):
+    step, remaining = _undirected(fb), set(fb.vertices)
+    while remaining:  # one connected component per round
+        comp = set(_reach((remaining.pop(),), step))
+        remaining -= comp
         sources = [v for v in comp if incoming[v] == 0]
         if len(sources) != 1:
             raise ValueError("component with %d sources" % len(sources))

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 
 from .rootdata import Root, RootSystem
-from .weights import _signed_positions, signed_roots
+from .weights import _signed_positions
 
-_TUPLE_BUDGET = 10**5  # minimal tuples one relation set may generate
+_TUPLE_BUDGET = 10**5  # minimal tuples (M) or monomials (Mpp) one relation set may generate
+_VALUE_BUDGET = 10**6  # the cutoffs of one p family, summed
 _new = object.__new__
 
 
@@ -58,62 +59,60 @@ class PFunction:
 _ZERO = PFunction((0,), 0)
 
 
-def _graded_values(x: int, step: int) -> PFunction:
-    # p(s) = max{0, x - step*s} for s = 0..ceil(x/step); (0,) when x <= 0
-    vals = (*range(x, 0, -step), 0)
+def _graded_values(x: int, step: int, start: int) -> PFunction:
+    # p(s) = x for s <= start, then max{0, x - step*(s - start)}; (0,) when x <= 0
+    vals = (x,) * start + (*range(x, 0, -step), 0) if x > 0 else (0,)
     return PFunction(vals, len(vals) - 1)
 
 
-def _descending_values(boundary: int, start: int) -> PFunction:
-    # boundary value at s = start, then linear descent by one per step
-    if boundary <= 0:
-        return _ZERO
-    vals = [boundary] * (start + 1) + list(range(boundary - 1, -1, -1))
-    return PFunction(tuple(vals), boundary + start)
+def _key_walk(rs: RootSystem, mu):
+    """(root, sign, x, d_alpha) for every relation family mu imposes, by the
+    rule of weights.signed_roots, roots in coordinate order: the key order."""
+    roots, ds = rs.positive_roots, rs._d_at
+    return ((roots[j], sign, x, ds[j])
+            for j, sign, x in _signed_positions(rs.pairings(mu), rs._by_coords))
 
 
 @dataclass(frozen=True)
 class PFamily:
-    """One PFunction per (positive root, sign), plus provenance."""
+    """The PFunction of each (positive root, sign) mu imposes, plus provenance."""
 
     kind: str  # 'demazure' | 'weyl' | 'genweyl'
     rs: RootSystem
     mu: tuple[int, ...]
     k: int | None
-    entries: dict = field(repr=False)
+    rows: tuple = field(repr=False)  # (root, sign, x, p) per applicable pair, in key order
 
     def pfunction(self, root: Root, sign: str) -> PFunction:
-        return self.entries[(root, sign)]
+        """p_root^sign, the zero function where mu imposes no relations;
+        KeyError unless root is a positive root and sign is '+' or '-'."""
+        if sign not in ("+", "-") or root not in self.rs._d:
+            raise KeyError((root, sign))
+        return next((p for r, s, _, p in self.rows if s == sign and r == root), _ZERO)
 
     def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
-        """(root, sign) combinations whose relations are imposed."""
-        return tuple((root, sign) for root, sign, _ in signed_roots(self.rs, self.mu))
-
-    @cached_property
-    def _walk(self) -> tuple:
-        """(root, sign, x, p) of each applicable pair, in the order relation sets list."""
-        rs, roots = self.rs, self.rs.positive_roots
-        return tuple((roots[j], sign, x, self.entries[(roots[j], sign)]) for j, sign, x
-                     in _signed_positions(rs.pairings(self.mu), rs._by_coords))
+        """(root, sign) combinations whose relations are imposed, in key order."""
+        return tuple((root, sign) for root, sign, _, _ in self.rows)
 
 
-def _family(kind: str, rs: RootSystem, mu, k, value) -> PFamily:
-    """The family with p = value(root, sign, x) at each (root, sign, x) of
-    signed_roots, and p = 0 at the other (root, sign)."""
+def _family(kind: str, rs: RootSystem, mu, k, shape) -> PFamily:
+    """The family whose p at each applicable (root, sign, x) is x up to s = start,
+    then falls by step to zero, (step, start) = shape(sign, d_alpha); RuntimeError
+    before any value is built when the cutoffs sum past _VALUE_BUDGET."""
     mu = rs.check_weight(mu)
-    entries = dict.fromkeys(((root, sign) for root in rs.positive_roots
-                             for sign in "+-"), _ZERO)
-    for root, sign, x in signed_roots(rs, mu):
-        entries[(root, sign)] = value(root, sign, x)
-    return PFamily(kind, rs, mu, k, entries)
+    walk = [(root, sign, x, *shape(sign, d)) for root, sign, x, d in _key_walk(rs, mu)]
+    if sum(start - (-x // step) for _, _, x, step, start in walk if x) > _VALUE_BUDGET:
+        raise RuntimeError("value budget exceeded: the cutoffs of a p family sum "
+                           "to more than %d" % _VALUE_BUDGET)
+    return PFamily(kind, rs, mu, k, tuple((root, sign, x, _graded_values(x, step, start))
+                                          for root, sign, x, step, start in walk))
 
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
     """The graded family p(s) = max{0, x - d_alpha*k*s} for level k >= 1."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    return _family("demazure", rs, mu, k,
-                   lambda root, sign, x: _graded_values(x, rs.d(root) * k))
+    return _family("demazure", rs, mu, k, lambda sign, d: (d * k, 0))
 
 
 def weyl_p(rs: RootSystem, mu) -> PFamily:
@@ -121,7 +120,7 @@ def weyl_p(rs: RootSystem, mu) -> PFamily:
     if any(c > 0 for c in mu):
         raise ValueError("weyl_p needs an anti-dominant weight")
     # anti-dominant mu imposes sign '-' only where x = 0
-    return _family("weyl", rs, mu, None, lambda root, sign, x: _descending_values(x, 0))
+    return _family("weyl", rs, mu, None, lambda sign, d: (1, 0))
 
 
 def generalized_weyl_p(rs: RootSystem, mu) -> PFamily:
@@ -132,7 +131,7 @@ def generalized_weyl_p(rs: RootSystem, mu) -> PFamily:
     of the boundary power.
     """
     return _family("genweyl", rs, mu, None,
-                   lambda root, sign, x: _descending_values(x, 0 if sign == "+" else 1))
+                   lambda sign, d: (1, 0 if sign == "+" else 1))
 
 
 # -- xi tuples and convexity ----------------------------------------------
@@ -178,8 +177,7 @@ def convexity_report(fam: PFamily) -> ConvexityReport:
     if fam.kind != "demazure":
         raise ValueError("convexity pattern is specific to the graded family")
     records, bad, mism = [], [], []
-    for (root, sign), p in sorted(fam.entries.items(),
-                                  key=lambda kv: (kv[0][0], kv[0][1])):
+    for root, sign, _, p in fam.rows:
         step = fam.rs.d(root) * fam.k
         s = p.cutoff
         for i in range(1, s):
@@ -272,7 +270,7 @@ def relations_M(fam: PFamily) -> tuple[Relation, ...]:
     All families of the set share one budget of _TUPLE_BUDGET tuples;
     past it a RuntimeError is raised instead of running for minutes."""
     rels = []
-    for root, sign, _, p in fam._walk:
+    for root, sign, _, p in fam.rows:
         s = p.cutoff
         for i in range(1, s + 1):
             rels += [_row(root, sign, f, "tuple", i, ("M",)) for f in
@@ -284,7 +282,7 @@ def relations_Mprime(fam: PFamily) -> tuple[Relation, ...]:
     """Minimal tuples kept only at indices i with xi_{i+1} < xi_i and
     filtered by the cap sum a_j <= xi_i."""
     rels = []
-    for root, sign, _, p in fam._walk:
+    for root, sign, _, p in fam.rows:
         s = p.cutoff
         xi = xi_tuple(p) + (0,)
         for i in range(1, s + 1):
@@ -311,12 +309,17 @@ def _with_annihilators(walk, own_rows, tags) -> tuple[Relation, ...]:
 
 def relations_Mpp(fam: PFamily) -> tuple[Relation, ...]:
     """Pure powers (x (x) t^i)^(p(i)+1), 1 <= i <= cutoff, plus the
-    annihilator family and the boundary power of the presentation."""
+    annihilator family and the boundary power of the presentation;
+    RuntimeError before any row is built past _TUPLE_BUDGET powers."""
+    # the powers of a family: cutoff + 1 for '+', max(1, cutoff) for '-'
+    if sum(p.cutoff + (s == "+" or not p.cutoff) for _, s, _, p in fam.rows) > _TUPLE_BUDGET:
+        raise RuntimeError("tuple budget exceeded: a relation set needs more "
+                           "than %d monomials" % _TUPLE_BUDGET)
     def powers(root, sign, x, p):
         eps = 0 if sign == "+" else 1  # the boundary power's degree
         return [_row(root, sign, ((i, p(i) + 1),), "monomial", i, ("Mpp",))
                 for i in range(eps, max(eps, p.cutoff) + 1)]
-    return _with_annihilators(fam._walk, powers, ("Mpp",))
+    return _with_annihilators(fam.rows, powers, ("Mpp",))
 
 
 class IsoClass(Enum):
@@ -333,10 +336,9 @@ def classify_xi(xi: tuple[int, ...]) -> IsoClass:
 
 
 def mmmr_classify(fam: PFamily) -> dict:
-    """Which collapse argument applies per (root, sign): the constant-head
-    criterion (FirstIso), the separated-head criterion (SecondIso), or both."""
-    return {pair: classify_xi(xi_tuple(fam.pfunction(*pair)))
-            for pair in fam.applicable_pairs()}
+    """Which collapse argument applies per applicable (root, sign), in key order:
+    the constant-head criterion (FirstIso), the separated-head one (SecondIso), or both."""
+    return {(root, sign): classify_xi(xi_tuple(p)) for root, sign, _, p in fam.rows}
 
 
 # -- divided power supports ------------------------------------------------
@@ -414,10 +416,8 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    mu, roots = rs.check_weight(mu), rs.positive_roots
-    walk = ((roots[j], sign, x, rs._d_at[j])
-            for j, sign, x in _signed_positions(rs.pairings(mu), rs._by_coords))
-    return _with_annihilators(walk, partial(_sm_rows, k=k), ("mathieu",))
+    return _with_annihilators(_key_walk(rs, rs.check_weight(mu)), partial(_sm_rows, k=k),
+                              ("mathieu",))
 
 
 def _sm_rows(root: Root, sign: str, x: int, d: int, k: int) -> list[Relation]:

@@ -1,18 +1,26 @@
-"""Reference copy of the earlier relation-set builders, kept as a
-differential oracle for the in-order rows of ``demazure.relations``.  Test
-use only.
+"""Reference copy of the earlier relation-set builders and p families,
+kept as a differential oracle for the in-order rows of
+``demazure.relations``.  Test use only.
 
 Everything below the imports is the earlier module's, unchanged: the four
 builders, which sort each whole set on ``Root`` keys, ``_tuple_relation``,
-the dense minimal-tuple search and the sort key they use.  ``Relation``,
-the p families, ``xi_tuple``, ``sm_pair`` and the budget are imported from
-the package, so old and new results compare with ``==``.
+the dense minimal-tuple search and the sort key they use; then the p
+families as a table over every (positive root, sign), with ``_ZERO`` where
+mu imposes nothing, and the ``convexity_report`` and ``mmmr_classify`` that
+read that table.  The one edit is a name: the table family's class, the
+earlier ``PFamily`` without its cached key-order walk, is ``TableFamily``
+here.  ``Relation``, ``PFunction``, the report classes, ``xi_tuple``,
+``sm_pair`` and the budget are imported from the package, so old and new
+results compare with ``==``; the four builders take either family.
 """
 
 from __future__ import annotations
 
-from demazure.relations import (_TUPLE_BUDGET, PFamily, Relation, sm_pair,
-                                xi_tuple)
+from dataclasses import dataclass, field
+
+from demazure.relations import (_TUPLE_BUDGET, _ZERO, ConvexityRecord,
+                                ConvexityReport, PFamily, PFunction, Relation,
+                                classify_xi, sm_pair, xi_tuple)
 from demazure.rootdata import Root, RootSystem
 from demazure.weights import signed_roots
 
@@ -163,3 +171,109 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
         else:
             merged[key] = rel
     return tuple(sorted(merged.values(), key=_relation_sort_key))
+
+
+# -- the p families as an all-pairs table ------------------------------------
+
+def _graded_values(x: int, step: int) -> PFunction:
+    # p(s) = max{0, x - step*s} for s = 0..ceil(x/step); (0,) when x <= 0
+    vals = (*range(x, 0, -step), 0)
+    return PFunction(vals, len(vals) - 1)
+
+
+def _descending_values(boundary: int, start: int) -> PFunction:
+    # boundary value at s = start, then linear descent by one per step
+    if boundary <= 0:
+        return _ZERO
+    vals = [boundary] * (start + 1) + list(range(boundary - 1, -1, -1))
+    return PFunction(tuple(vals), boundary + start)
+
+
+@dataclass(frozen=True)
+class TableFamily:
+    """One PFunction per (positive root, sign), plus provenance."""
+
+    kind: str  # 'demazure' | 'weyl' | 'genweyl'
+    rs: RootSystem
+    mu: tuple[int, ...]
+    k: int | None
+    entries: dict = field(repr=False)
+
+    def pfunction(self, root: Root, sign: str) -> PFunction:
+        return self.entries[(root, sign)]
+
+    def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
+        """(root, sign) combinations whose relations are imposed."""
+        return tuple((root, sign) for root, sign, _ in signed_roots(self.rs, self.mu))
+
+
+def _family(kind: str, rs: RootSystem, mu, k, value) -> TableFamily:
+    """The family with p = value(root, sign, x) at each (root, sign, x) of
+    signed_roots, and p = 0 at the other (root, sign)."""
+    mu = rs.check_weight(mu)
+    entries = dict.fromkeys(((root, sign) for root in rs.positive_roots
+                             for sign in "+-"), _ZERO)
+    for root, sign, x in signed_roots(rs, mu):
+        entries[(root, sign)] = value(root, sign, x)
+    return TableFamily(kind, rs, mu, k, entries)
+
+
+def demazure_p(rs: RootSystem, mu, k: int) -> TableFamily:
+    """The graded family p(s) = max{0, x - d_alpha*k*s} for level k >= 1."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    return _family("demazure", rs, mu, k,
+                   lambda root, sign, x: _graded_values(x, rs.d(root) * k))
+
+
+def weyl_p(rs: RootSystem, mu) -> TableFamily:
+    """Local Weyl family for anti-dominant mu: p^+(s) = max{0, -mu(h)-s}, p^- = 0."""
+    if any(c > 0 for c in mu):
+        raise ValueError("weyl_p needs an anti-dominant weight")
+    # anti-dominant mu imposes sign '-' only where x = 0
+    return _family("weyl", rs, mu, None, lambda root, sign, x: _descending_values(x, 0))
+
+
+def generalized_weyl_p(rs: RootSystem, mu) -> TableFamily:
+    """Boundary data p^+(0) = max{0,-mu(h)}, p^-(1) = max{0,mu(h)}.
+
+    The remaining values are a free choice as long as they are redundant;
+    we fill by linear descent to zero, the classical consequence pattern
+    of the boundary power.
+    """
+    return _family("genweyl", rs, mu, None,
+                   lambda root, sign, x: _descending_values(x, 0 if sign == "+" else 1))
+
+
+def convexity_report(fam: TableFamily) -> ConvexityReport:
+    """Check 2 p(i) <= p(i+1) + p(i-1) for 1 <= i <= cutoff-1.
+
+    For the graded family, equality must hold exactly for i <= cutoff-2
+    and additionally at i = cutoff-1 when the top value p(cutoff-1) equals
+    the full step d_alpha * k.
+    """
+    if fam.kind != "demazure":
+        raise ValueError("convexity pattern is specific to the graded family")
+    records, bad, mism = [], [], []
+    for (root, sign), p in sorted(fam.entries.items(),
+                                  key=lambda kv: (kv[0][0], kv[0][1])):
+        step = fam.rs.d(root) * fam.k
+        s = p.cutoff
+        for i in range(1, s):
+            lhs, rhs = 2 * p(i), p(i + 1) + p(i - 1)
+            equal = lhs == rhs
+            expected = i <= s - 2 or (i == s - 1 and p(s - 1) == step)
+            rec = ConvexityRecord(root, sign, i, lhs, rhs, equal, expected)
+            records.append(rec)
+            if lhs > rhs:
+                bad.append(rec)
+            if equal != expected:
+                mism.append(rec)
+    return ConvexityReport(tuple(records), tuple(bad), tuple(mism))
+
+
+def mmmr_classify(fam: TableFamily) -> dict:
+    """Which collapse argument applies per (root, sign): the constant-head
+    criterion (FirstIso), the separated-head criterion (SecondIso), or both."""
+    return {pair: classify_xi(xi_tuple(fam.pfunction(*pair)))
+            for pair in fam.applicable_pairs()}

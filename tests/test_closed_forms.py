@@ -186,4 +186,4 @@ def _loop_graded_values(x, step):
 def test_graded_values_match_loop():
     for x in range(-5, 61):
         for step in range(1, 10):
-            assert _graded_values(x, step) == _loop_graded_values(x, step)
+            assert _graded_values(x, step, 0) == _loop_graded_values(x, step)

@@ -1,5 +1,7 @@
 """Every demo script runs to completion; the crystal walkthrough, which
-prints path steps, prints exactly the recorded output."""
+prints path steps, and the relation demo, which prints p values, the
+collapse classes and the convexity count, print exactly the recorded
+output."""
 
 import os
 import pathlib
@@ -13,7 +15,8 @@ import demazure
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(demazure.__file__)))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-RECORDED = {"crystal_walkthrough.py": ROOT / "tests" / "data" / "crystal_walkthrough.out"}
+RECORDED = {"crystal_walkthrough.py": ROOT / "tests" / "data" / "crystal_walkthrough.out",
+            "presentation_relations.py": ROOT / "tests" / "data" / "presentation_relations.out"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -19,7 +19,8 @@ from demazure.admissibility import (balanced_split, enumerate_dominant_splits,
                                    find_1_admissible)
 from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcrystal,
                               tensor_crystal)
-from demazure.relations import demazure_p, relations_M, simplified_demazure_relations
+from demazure.relations import (demazure_p, relations_M, relations_Mpp,
+                                simplified_demazure_relations)
 from demazure.rootdata import root_system
 from demazure.weights import AffineWeight, dominance_algorithm, finite_dominance
 
@@ -53,6 +54,9 @@ CHECKS = {
     "arrows": lambda: demazure_subcrystal(
         A2, CrystalGraph((u, v, w), ((u, v, 1), (u, w, 1)), u), (), (1, 0)),
     "relations-budget": lambda: relations_M(demazure_p(A1, (-60,), 1)),
+    # 10^6 + 1 values in one p family, and 10^5 + 1 pure powers in one Mpp set
+    "family-budget": lambda: demazure_p(A1, (-10**6 - 1,), 1),
+    "mpp-budget": lambda: relations_Mpp(demazure_p(A1, (-10**5,), 1)),
     "rank-budget": lambda: root_system("A", 5000),
     "crystal-long": lambda: build_crystal(A2, (1, 0, 0)),
     "crystal-short": lambda: build_crystal(A2, (1,)),
@@ -95,6 +99,7 @@ def test_invariants_raise_under_python_O():
         "weight": "ValueError", "concat": "ValueError",
         "tensor": "ValueError", "arrows": "ValueError",
         "relations-budget": "RuntimeError",
+        "family-budget": "RuntimeError", "mpp-budget": "RuntimeError",
         "rank-budget": "ValueError", "crystal-long": "ValueError",
         "crystal-short": "ValueError", "dominance-length": "ValueError",
         "parabolic-length": "ValueError", "finite-length": "ValueError",

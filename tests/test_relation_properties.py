@@ -1,5 +1,5 @@
 """Properties of the relation sets on bounded random presentations
-(hypothesis), and the fail-fast tuple budget under a memory cap."""
+(hypothesis), and the fail-fast tuple and value budgets under a memory cap."""
 
 import os
 import resource
@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -81,17 +82,47 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
 
+def _relations_capped(*args):
+    """`demazure relations --type A --rank 1 *args` in a subprocess under the
+    512 MB address-space cap: (completed process, wall seconds)."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "demazure", "relations", "--type", "A", "--rank", "1",
+         *args], env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=_cap_memory,
+        capture_output=True, text=True, timeout=120)
+    return proc, time.perf_counter() - start
+
+
 def test_m_budget_fails_fast_in_bounded_memory():
     """A single family with 10,000 slots: the sparse search reaches the tuple
     budget long before memory grows with the slot count.  Under the 512 MB
     address-space cap a dense search would end in MemoryError instead."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "demazure", "relations", "--type", "A", "--rank", "1",
-         "--mu=-10000", "--preset", "demazure", "--k", "1", "--set", "M"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=_cap_memory,
-        capture_output=True, text=True, timeout=120)
+    proc, seconds = _relations_capped("--mu=-10000", "--preset", "demazure", "--k", "1",
+                                      "--set", "M")
     assert proc.returncode == 2, proc.stderr
     assert "tuple budget exceeded" in proc.stderr
     assert proc.stdout == ""
-    assert time.perf_counter() - start < 30
+    assert seconds < 30
+
+
+# Each family or set below would fill memory before it finished: a p family
+# with 10^7 or 10^8 values, or 300,001 pure powers in one Mpp set.
+BUDGET_RUNS = [
+    ("--preset", "demazure", "--k", "1", "--mu=-100000000", "--set", "M"),
+    ("--preset", "demazure", "--k", "1", "--mu=-100000000", "--set", "Mprime"),
+    ("--preset", "demazure", "--k", "1", "--mu=-100000000", "--set", "Mpp"),
+    ("--preset", "weyl", "--mu=-100000000", "--set", "M"),
+    ("--preset", "demazure", "--k", "1", "--mu=-10000000", "--set", "Mprime"),
+    ("--preset", "demazure", "--k", "1", "--mu=-300000", "--set", "Mpp"),
+]
+
+
+@pytest.mark.parametrize("args", BUDGET_RUNS, ids=lambda a: " ".join(a[1::2]))
+def test_family_and_mpp_budgets_fail_fast_in_bounded_memory(args):
+    """Under the 512 MB address-space cap each run exits 2 with a budget
+    error, not 1 with a MemoryError traceback."""
+    proc, seconds = _relations_capped(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "budget exceeded" in proc.stderr
+    assert proc.stdout == ""
+    assert seconds < 30

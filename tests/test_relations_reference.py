@@ -1,12 +1,16 @@
 """Differential oracle for the relation sets: the rows that ``demazure.relations``
 builds in key order against the earlier builders kept verbatim in
-``relations_reference.py``, which sort each whole set on ``Root`` keys.
+``relations_reference.py``, which sort each whole set on ``Root`` keys, and
+the row-only p families against the earlier all-pairs tables.
 
 Every set is compared row for row as (root coordinates, sign, factors,
-kind, index, tags), so both the rows and their order must agree, on the
-weight universe of the ``relations-growth`` benchmark for every type and
-preset, on the box-walk oracle cases, on A1 x = 1..30 and on every small
-weight of E6, E7 and E8."""
+kind, index, tags), so both the rows and their order must agree.  Each
+family must give the table's p function on every (positive root, sign),
+list the table's applicable pairs in key order, classify and report
+convexity as the table does, and reject a pair that is not (positive
+root, '+'/'-').  All of it runs on the weight universe of the
+``relations-growth`` benchmark for every type and preset, on the box-walk
+oracle cases, on A1 x = 1..30 and on every small weight of E6, E7 and E8."""
 
 import itertools
 
@@ -14,7 +18,7 @@ import pytest
 
 import relations_reference as reference
 from demazure import relations
-from demazure.rootdata import root_system
+from demazure.rootdata import Root, root_system
 from test_relations import _oracle_cases, _small_weights
 
 SETS = ("relations_M", "relations_Mprime", "relations_Mpp")
@@ -30,16 +34,28 @@ def _rows(rels):
     return [(r.root.coords, r.sign, r.factors, r.kind, r.index, r.tags) for r in rels]
 
 
-def _family(rs, mu, preset, k):
+def _family(module, rs, mu, preset, k):
     if preset == "demazure":
-        return relations.demazure_p(rs, mu, k)
+        return module.demazure_p(rs, mu, k)
     if preset == "weyl":
-        return relations.weyl_p(rs, mu)
-    return relations.generalized_weyl_p(rs, mu)
+        return module.weyl_p(rs, mu)
+    return module.generalized_weyl_p(rs, mu)
 
 
 def _assert_same(rs, mu, preset, k):
-    fam = _family(rs, mu, preset, k)
+    fam, table = _family(relations, rs, mu, preset, k), _family(reference, rs, mu, preset, k)
+    for root in rs.positive_roots:
+        for sign in "+-":
+            assert fam.pfunction(root, sign) == table.pfunction(root, sign), (root, sign)
+    assert list(fam.applicable_pairs()) == sorted(table.applicable_pairs())
+    assert relations.mmmr_classify(fam) == reference.mmmr_classify(table)
+    if preset == "demazure":
+        assert relations.convexity_report(fam) == reference.convexity_report(table)
+    theta = rs.positive_roots[-1]
+    for root, sign in ((theta, "0"), (theta, None), (Root((0,) * rs.rank), "+"),
+                       (Root(tuple(-c for c in theta.coords)), "-"), (theta.coords, "+")):
+        with pytest.raises(KeyError):
+            fam.pfunction(root, sign)
     for name in SETS:
         assert _rows(getattr(relations, name)(fam)) == \
             _rows(getattr(reference, name)(fam)), (rs, mu, preset, k, name)
