@@ -1,4 +1,4 @@
-"""Graded characters and Demazure operators.
+"""Graded characters, Demazure operators and g0 branching.
 
 A character is a finite Z-linear combination of affine weights, stored as a
 dict mapping (finite, level, grade) to an integer multiplicity.  ``finite``
@@ -19,21 +19,21 @@ termwise, which for pairing m = lam(h_i) works out to
     m = -1 : 0
     m <= -2: -(e^{lam + alpha_i} + ... + e^{lam - (m+1) alpha_i})
 
-Each string is walked from its first term by adding one fixed step, -alpha_i
-or +alpha_i with its grade, and node 0 reads the coroot of theta once.
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
 Every character is D along one dominance walk's word, applied by one loop
 that stops a character past ``_TERM_BUDGET`` output terms; one application
-stops before its strings would emit more than that.
+stops before its strings would emit more than that.  ``g0_branch`` sums
+signs by Weyl's character formula; only a failing slice peels characters.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, takewhile
-from operator import add, ge, mul
+from itertools import chain, compress, takewhile
+from math import prod
+from operator import add, ge, mul, sub
 from threading import Lock
 
 from .admissibility import AdmissibilityReport, _check_split, is_r_admissible
@@ -199,69 +199,96 @@ class BranchRecord:
     dimension: int
 
 
+def _peel_order(remaining, nodes, cols, norm):
+    """The keys of ``remaining`` in peeling order; the caller removes each
+    before asking for the next.  o lies above w only if they share the level,
+    the off-node coordinates and the on-node residues mod N; a group lists
+    (on-node height, on-node quotients by N, weight), highest first."""
+    place, groups = {}, {}
+    for key in remaining:
+        scaled = [sum(map(mul, key[0], col)) for col in cols]
+        on = tuple(scaled[i - 1] // norm for i in nodes)
+        for i in nodes:
+            scaled[i - 1] %= norm
+        group = groups.setdefault((key[1], tuple(scaled)), [])
+        group.append((sum(on), on, key))
+        place[key] = (group[-1], group)
+    for group in groups.values():
+        group.sort(reverse=True)
+    order = sorted(remaining, reverse=True)
+    while remaining:
+        for top in order:
+            if top in remaining:
+                (height, on, _), group = place[top]
+                rivals = takewhile(lambda entry: entry[0] > height, group)
+                if not any(o in remaining and all(map(ge, q, on)) for _, q, o in rivals):
+                    break
+        yield top
+
+
 def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     """Decompose each grade slice of ``char`` under the sub-root-system on
-    ``nodes`` by repeatedly peeling the irreducible generated by a maximal
-    weight.  Raises ValueError if a slice is not a nonnegative sum of
-    parabolic irreducible characters on those nodes.
-
-    A weight o lies above a weight w of its level when o - w is a nonzero
-    Z>=0 combination of the simple roots on ``nodes``; then o has the larger
-    node-height, the sum of the simple-root coordinates on the nodes.  Each
-    peel takes the first weight, in descending ``(finite, level)`` order,
-    that no remaining weight of larger node-height lies above.  Records run
-    by grade, then in peeling order.
-    """
+    ``nodes``; ValueError unless it is a nonnegative sum of irreducibles.  By
+    Weyl's character formula, with rho_J the sum of the fundamental weights on
+    the nodes, a term m e^mu adds sign(w) m to lam if w in W_J takes mu + rho_J
+    to lam + rho_J, regular and dominant on the nodes; a slice passes when it
+    is W_J-invariant and no sum is negative, and Weyl's dimension formula
+    gives the dimensions.  Records run by grade, then in peeling order: the
+    first unpeeled lam in descending ``(finite, level)`` order that none lies
+    above (o - lam a nonzero Z>=0 sum of simple roots on the nodes, one level).
+    A failing slice is peeled, subtracting irreducibles, to say where."""
     nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
     # column i: N times the i-th simple-root coordinate of each fundamental weight
     rows = [rs._scaled_coordinates(tuple(int(i == j) for i in range(rs.rank)))
             for j in range(rs.rank)]
     norm, cols = rows[0][1], tuple(zip(*(row for row, _ in rows)))
-    irreps, records, slices = {}, [], {}
+    rho = tuple(int(i in nodes) for i in range(1, rs.rank + 1))
+    alphas = [(i - 1, tuple(row[i - 1] for row in rs.cartan)) for i in nodes]
+    levi = [not any(c for c, on in zip(root.coords, rho) if not on)  # roots on the nodes
+            for root in rs.positive_roots]
+    rho_dim = prod(compress(rs.pairings(rho), levi))
+    records, slices = [], {}
     for (fin, lvl, grade), c in char.terms.items():
+        fin = fin if len(fin) == rs.rank else rs.check_weight(fin)  # raises ValueError
         slices.setdefault(grade, {})[(fin, lvl)] = c
     for grade in sorted(slices):
-        remaining = slices[grade]
-        # o lies above w only if they share the level, the off-node coordinates
-        # and the on-node residues mod N; a group lists (node-height, on-node
-        # quotients by N, weight), highest first
-        place, groups = {}, {}
-        for key in remaining:
-            scaled = [sum(map(mul, key[0], col)) for col in cols]
-            on = tuple(scaled[i - 1] // norm for i in nodes)
-            for i in nodes:
-                scaled[i - 1] %= norm
-            group = groups.setdefault((key[1], tuple(scaled)), [])
-            group.append((sum(on), on, key))
-            place[key] = (group[-1], group)
-        for group in groups.values():
-            group.sort(reverse=True)
-        order = sorted(remaining, reverse=True)
-        while remaining:
-            for top in order:
-                if top in remaining:
-                    (height, on, _), group = place[top]
-                    rivals = takewhile(lambda entry: entry[0] > height, group)
-                    if not any(o in remaining and all(map(ge, q, on)) for _, q, o in rivals):
+        terms, mults, invariant, balance = slices[grade], {}, True, 0
+        for (fin, lvl), m in terms.items():
+            for i, alpha in alphas:  # s_i pairs the terms of pairings p > 0 and -p
+                if (p := fin[i]) > 0:
+                    balance += 1
+                    invariant &= terms.get((tuple([a - p * b for a, b in zip(fin, alpha)]),
+                                            lvl)) == m
+                elif p:
+                    balance -= 1
+            v = list(map(add, fin, rho))
+            while True:  # into the nodes' dominant chamber; a zero pairing: singular
+                for i, alpha in alphas:
+                    if (p := v[i]) <= 0:
                         break
-            fin, lvl = top
-            mult = remaining[top]
-            if mult < 0:
-                raise ValueError("negative multiplicity at %r grade %d" % (fin, grade))
-            if fin not in irreps:  # level and grade are only labels
-                irreps[fin] = [(f2, c) for (f2, _, _), c in
-                               parabolic_character(rs, fin, nodes).terms.items()]
-            irrep = irreps[fin]
-            for f2, c in irrep:
-                left = remaining.get((f2, lvl), 0) - mult * c
-                if left < 0:
-                    raise ValueError("slice at grade %d is not a nonnegative "
-                                     "combination on nodes %r" % (grade, nodes))
-                if left:
-                    remaining[(f2, lvl)] = left
                 else:
-                    remaining.pop((f2, lvl), None)
-            records.append(BranchRecord(fin, lvl, grade, mult, sum(c for _, c in irrep)))
+                    key = (tuple(map(sub, v, rho)), lvl)
+                    mults[key] = mults.get(key, 0) + m
+                    break
+                if not p:
+                    break
+                v, m = [a - p * b for a, b in zip(v, alpha)], -m
+        if not invariant or balance or any(c < 0 for c in mults.values()):
+            for fin, lvl in _peel_order(terms, nodes, cols, norm):
+                if (mult := terms[(fin, lvl)]) < 0:
+                    raise ValueError("negative multiplicity at %r grade %d" % (fin, grade))
+                for (f2, _, _), c in parabolic_character(rs, fin, nodes).terms.items():
+                    if (left := terms.get((f2, lvl), 0) - mult * c) < 0:
+                        raise ValueError("slice at grade %d is not a nonnegative "
+                                         "combination on nodes %r" % (grade, nodes))
+                    terms[(f2, lvl)] = left
+                    if not left:
+                        del terms[(f2, lvl)]
+            raise RuntimeError("slice at grade %d failed the check but peeled" % grade)
+        mults = {key: c for key, c in mults.items() if c}
+        for fin, lvl in _peel_order(mults, nodes, cols, norm):
+            dim = prod(compress(rs.pairings(map(add, fin, rho)), levi)) // rho_dim
+            records.append(BranchRecord(fin, lvl, grade, mults.pop((fin, lvl)), dim))
     return tuple(records)
 
 

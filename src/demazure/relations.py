@@ -31,6 +31,7 @@ The builders emit the rows in that order; nothing is sorted afterwards.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -88,7 +89,8 @@ class PFamily:
         KeyError unless root is a positive root and sign is '+' or '-'."""
         if sign not in ("+", "-") or root not in self.rs._d:
             raise KeyError((root, sign))
-        return next((p for r, s, _, p in self.rows if s == sign and r == root), _ZERO)
+        j = bisect_left(self.rows, (root.coords, sign), key=lambda row: (row[0].coords, row[1]))
+        return next((p for r, s, _, p in self.rows[j:j + 1] if (r, s) == (root, sign)), _ZERO)
 
     def applicable_pairs(self) -> tuple[tuple[Root, str], ...]:
         """(root, sign) combinations whose relations are imposed, in key order."""

@@ -1,7 +1,7 @@
 """Differential oracles for the string-walk ``demazure_operator`` and for
-``g0_branch`` on per-weight integer coordinates, against the earlier code
-kept verbatim in ``branch_reference.py``, plus sha256 pins of the records of
-four larger modules taken from the earlier code."""
+``g0_branch`` by Weyl's character formula, against the earlier code kept
+verbatim in ``branch_reference.py``, plus sha256 pins of the records of five
+larger modules taken from the earlier code."""
 
 import hashlib
 import itertools
