@@ -13,7 +13,7 @@ import random
 
 from .admissibility import (balanced_split, candidate_splits, is_r_admissible,
                             profile_bound_scan)
-from .characters import (GradedCharacter, demazure_character,
+from .characters import (GradedCharacter, _apply_word, demazure_character,
                          demazure_operator, embedding_certificate,
                          finite_character, g0_branch)
 from .crystal import (build_crystal, component_of, demazure_subcrystal,
@@ -189,12 +189,7 @@ def character_operators(seed=0):
         if rs.rank == 2:
             word_a, word_b = ((1, 2, 1), (2, 1, 2)) if rs.family == "A" \
                 else ((1, 2, 1, 2), (2, 1, 2, 1))
-            left, right = c, c
-            for i in reversed(word_a):
-                left = demazure_operator(rs, i, left)
-            for i in reversed(word_b):
-                right = demazure_operator(rs, i, right)
-            if left != right:
+            if _apply_word(rs, reversed(word_a), c) != _apply_word(rs, reversed(word_b), c):
                 braid_bad += 1
 
     word_bad = pos_bad = 0
@@ -347,10 +342,5 @@ CRITERIA = (worked_example_a2, admissibility_c2, embedding_grid,
 
 
 def run_all(seed=0):
-    out = []
-    for fn in CRITERIA:
-        if fn in (character_operators, dominance_roundtrip):
-            out.append(fn(seed))
-        else:
-            out.append(fn())
-    return tuple(out)
+    seeded = (character_operators, dominance_roundtrip)
+    return tuple(fn(seed) if fn in seeded else fn() for fn in CRITERIA)

@@ -112,16 +112,14 @@ class GradedCharacter:
 def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCharacter:
     if not 0 <= i <= rs.rank:
         raise ValueError("node %r out of range" % (i,))
-    # finite part and grade drop of alpha_i; alpha_0 = delta - theta
-    if i == 0:
-        alpha_w, grade_drop = tuple(-t for t in rs.theta_weight), 1
-        theta_co = rs.coroot_vector(rs.theta)
-    else:
-        alpha_w, grade_drop = tuple(row[i - 1] for row in rs.cartan), 0
+    # finite part and grade drop (delta coefficient) of alpha_i
+    n, theta_co = rs.rank, rs.coroot_vector(rs.theta)
+    alpha_w, grade_drop = rs._alphas[i][:n], rs._alphas[i][n]
     minus_alpha = tuple(-a for a in alpha_w)
     out = {}
     emitted = 0
     for (fin, lvl, grade), mult in char.terms.items():
+        fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
         m = lvl - sum(map(mul, fin, theta_co)) if i == 0 else fin[i - 1]
         # walk down from lam, or up from lam + alpha_i; m == -1 adds nothing
         if m >= 0:
@@ -181,8 +179,7 @@ def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> G
     finite = rs.check_weight(finite)
     if any(finite[i - 1] < 0 for i in nodes):
         raise ValueError("weight %r not dominant on nodes %r" % (finite, nodes))
-    _, word = _walk(rs, tuple(-c for c in finite), nodes,
-                    lambda _, mu, i: mu[i - 1], RootSystem.reflect, None)
+    _, word = _walk(tuple(-c for c in finite), rs._alphas, nodes)
     return _apply_word(rs, word, GradedCharacter.from_weight(finite, level, grade))
 
 
@@ -243,7 +240,7 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
             for j in range(rs.rank)]
     norm, cols = rows[0][1], tuple(zip(*(row for row, _ in rows)))
     rho = tuple(int(i in nodes) for i in range(1, rs.rank + 1))
-    alphas = [(i - 1, tuple(row[i - 1] for row in rs.cartan)) for i in nodes]
+    alphas = [(i - 1, rs._alphas[i]) for i in nodes]
     levi = [not any(c for c, on in zip(root.coords, rho) if not on)  # roots on the nodes
             for root in rs.positive_roots]
     rho_dim = prod(compress(rs.pairings(rho), levi))
@@ -261,6 +258,8 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
                                             lvl)) == m
                 elif p:
                     balance -= 1
+            # not weights._walk, which cannot stop at a zero pairing: through it, branching
+            # the 75 module-sweep characters took 0.18-0.27 s a pass against 0.14-0.18 s
             v = list(map(add, fin, rho))
             while True:  # into the nodes' dominant chamber; a zero pairing: singular
                 for i, alpha in alphas:

@@ -262,12 +262,10 @@ def _cmd_crystal(a, rs) -> int:
 def _cmd_reproduce(a, rs) -> int:
     rows = run_all(a.seed)
     width = max(len(name) for name, _, _ in rows)
-    failed = 0
     for name, ok, detail in rows:
         print("%-*s : %s  %s" % (width, name, "PASS" if ok else "FAIL",
                                  detail))
-        if not ok:
-            failed += 1
+    failed = sum(not ok for _, ok, _ in rows)
     print("%d of %d criteria passed" % (len(rows) - failed, len(rows)))
     return 1 if failed else 0
 
@@ -377,7 +375,7 @@ def main(argv=None) -> int:
             raise ValueError("--k %d disagrees with %d split parts"
                              % (args.k, len(args.split)))
         return args.handler(args, rs)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

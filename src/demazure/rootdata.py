@@ -27,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import mul, sub
 
 Weight = tuple[int, ...]
 
@@ -169,6 +171,12 @@ class RootSystem:
         self.theta_weight: Weight = self.root_weight(self.theta)
         if self._d[self.theta] != 1 or any(c < 0 for c in self.theta_weight):
             raise AssertionError("highest root must be long and dominant")
+        # alpha_0..alpha_n as (alpha_i(h_1..h_n), delta coefficient, alpha_i(h_0)),
+        # alpha_0 = delta - theta, h_0 = K - h_theta: the one home of the alpha_i
+        theta_co = self._coroot[self.theta]
+        self._alphas: tuple[tuple[int, ...], ...] = tuple(
+            f + (int(not i), -sum(map(mul, f, theta_co)))
+            for i, f in enumerate([tuple(-t for t in self.theta_weight), *zip(*a)]))
 
     # -- basic queries ----------------------------------------------------
 
@@ -224,9 +232,9 @@ class RootSystem:
 
     def reflect(self, i: int, mu):
         """Simple reflection s_i on fundamental-weight coordinates, i in 1..rank."""
-        self.check_node(i)
-        c = mu[i - 1]
-        return tuple(mu[j] - c * self.cartan[j][i - 1] for j in range(self.rank))
+        c = mu[self.check_node(i) - 1]
+        out = tuple(map(sub, mu, map(mul, repeat(c), self._alphas[i])))
+        return out if len(out) == self.rank else self.check_weight(mu)  # raises ValueError
 
     def weyl_apply(self, word, mu):
         """Apply s_{word[0]} ... s_{word[-1]} to mu (rightmost letter acts first)."""

@@ -5,11 +5,17 @@ finite + level * Lambda_0 + degree * delta of the untwisted affine
 algebra.  Node 0 is the affine node; its coroot pairing is
 level - finite(h_theta), and reflecting at it shifts the finite part by
 a multiple of theta while the degree absorbs the delta bookkeeping.
+
+Both reflections read alpha_i from ``rs._alphas``, and every chamber walk is
+the one loop ``_walk`` on an integer vector; an affine weight enters it as
+(finite, degree, pairing at node 0), the layout of that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 
 from .rootdata import Root, RootSystem
 
@@ -31,10 +37,9 @@ def sign_sets(rs: RootSystem, mu) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
 
     Roots with pairing zero belong to both tuples.
     """
-    pairs = tuple(zip(rs.positive_roots, rs.pairings(mu)))
-    plus = tuple(a for a, pair in pairs if pair >= 0)
-    minus = tuple(a for a, pair in pairs if pair <= 0)
-    return plus, minus
+    signed = tuple(signed_roots(rs, mu))
+    return (tuple(a for a, sign, _ in signed if sign == "-"),
+            tuple(a for a, sign, _ in signed if sign == "+"))
 
 
 def signed_roots(rs: RootSystem, mu):
@@ -57,35 +62,35 @@ def _signed_positions(pairs, order=None):
 
 
 def affine_pairing(rs: RootSystem, w: AffineWeight, i: int) -> int:
-    """Pairing of w with the coroot h_i, i in 0..rank."""
+    """Pairing of w with the coroot h_i, i in 0..rank; ValueError for any other node."""
     if i == 0:
         return w.level - rs.pairing(w.finite, rs.theta)
-    return w.finite[i - 1]
+    return w.finite[rs.check_node(i) - 1]
 
 
 def affine_reflect(rs: RootSystem, i: int, w: AffineWeight) -> AffineWeight:
     """Simple affine reflection s_i, i in 0..rank.  Preserves the level."""
-    if i == 0:
-        m = affine_pairing(rs, w, 0)
-        finite = tuple(c + m * t for c, t in zip(w.finite, rs.theta_weight))
-        return AffineWeight(finite, w.level, w.degree - m)
-    return AffineWeight(rs.reflect(i, w.finite), w.level, w.degree)
+    m, alpha = affine_pairing(rs, w, i), rs._alphas[i]
+    finite = tuple(c - m * a for c, a in zip(w.finite, alpha[:rs.rank], strict=True))
+    return AffineWeight(finite, w.level, w.degree - m * alpha[rs.rank])
 
 
 def is_affine_dominant(rs: RootSystem, w: AffineWeight) -> bool:
     return all(affine_pairing(rs, w, i) >= 0 for i in range(rs.rank + 1))
 
 
-def _walk(rs: RootSystem, w, nodes, pairing, reflect, pick):
-    """Reflect w at a node of negative pairing until none is left; return
-    (w, word) with the nodes in the order they were applied."""
+def _walk(v, alphas, nodes, pick=None):
+    """v -> v - v(h_i) alphas[i], v(h_i) = v[i - 1], at a node of negative
+    pairing until none is left; return (v, word), nodes in the order applied."""
     word: list[int] = []
     for _ in range(_STEP_LIMIT):
-        negative = [i for i in nodes if pairing(rs, w, i) < 0]
+        negative = [i for i in nodes if v[i - 1] < 0]
         if not negative:
-            return w, tuple(word)
+            return v, tuple(word)
         i = negative[0] if pick is None else pick(negative)
-        w = reflect(rs, i, w)
+        if not 0 <= i < len(alphas):
+            raise ValueError("node %r is not a node of 0..%d" % (i, len(alphas) - 1))
+        v = tuple(map(sub, v, map(mul, repeat(v[i - 1]), alphas[i])))
         word.append(i)
     raise RuntimeError("dominance walk exceeded step limit")
 
@@ -99,10 +104,11 @@ def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
     rejected.  `pick` chooses among the strictly negative nodes (default:
     smallest index); any choice reaches the same Lambda.
     """
-    rs.check_weight(w.finite)
+    fin, n = rs.check_weight(w.finite), rs.rank
     if w.level < 1:
         raise ValueError("dominance walk needs level >= 1")
-    return _walk(rs, w, range(rs.rank + 1), affine_pairing, affine_reflect, pick)
+    v, word = _walk(fin + (w.degree, affine_pairing(rs, w, 0)), rs._alphas, range(n + 1), pick)
+    return AffineWeight(v[:n], w.level, v[n]), word
 
 
 def finite_dominance(rs: RootSystem, mu):
@@ -111,6 +117,5 @@ def finite_dominance(rs: RootSystem, mu):
     Returns (lam, word) with rs.weyl_apply(word, mu) == lam; the inverse
     word (reversed) carries lam back to mu.
     """
-    lam, steps = _walk(rs, rs.check_weight(mu), range(1, rs.rank + 1),
-                       lambda _, mu, i: mu[i - 1], RootSystem.reflect, None)
+    lam, steps = _walk(rs.check_weight(mu), rs._alphas, range(1, rs.rank + 1))
     return lam, steps[::-1]

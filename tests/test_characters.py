@@ -86,6 +86,14 @@ def test_operator_node_zero_moves_grade():
     assert c.terms == {((0,), 1, 1): 1, ((2,), 1, 0): 1}
 
 
+@pytest.mark.parametrize("rs,i,fin", [(A1, 1, (1, 2)), (A1, 0, (1, 2)), (A2, 0, (3,)),
+                                      (A2, 2, (3,)), (A2, 1, ())])
+def test_operator_rejects_terms_of_the_wrong_rank(rs, i, fin):
+    char = GradedCharacter({((0,) * rs.rank, 1, 0): 1, (fin, 1, 0): 1})
+    with pytest.raises(ValueError, match="coordinates"):
+        demazure_operator(rs, i, char)
+
+
 def test_frozen_a1_character():
     c = demazure_character(A1, (2,), 1)
     assert c.terms == {((2,), 1, 0): 1, ((0,), 1, 1): 1}

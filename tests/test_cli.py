@@ -251,6 +251,18 @@ def test_crystal_json_and_dot(tmp_path, capsys):
     assert '[label="1"]' in text and '[label="(1, 0)"]' in text
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_crystal_dot_unwritable_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.dot" if where == "missing" else tmp_path
+    for extra in ([], ["--json"]):
+        code = main(["crystal", "--type", "A", "--rank", "2", "--lambda", "1,0",
+                     "--dot", str(target), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
 @pytest.mark.parametrize("flag", [["--decompose", "0"], ["--decompose=-1"],
                                   ["--decompose", "5"], ["--decompose", "5", "--json"]])
 def test_crystal_decompose_node_out_of_range(capsys, flag):

@@ -22,7 +22,8 @@ from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcry
 from demazure.relations import (demazure_p, relations_M, relations_Mpp,
                                 simplified_demazure_relations)
 from demazure.rootdata import root_system
-from demazure.weights import AffineWeight, dominance_algorithm, finite_dominance
+from demazure.weights import (AffineWeight, affine_pairing, dominance_algorithm,
+                              finite_dominance)
 
 A1, A2 = root_system("A", 1), root_system("A", 2)
 u, v, w = Path.straight((1, 0)), Path.straight((2, 0)), Path((), 2)
@@ -76,6 +77,8 @@ CHECKS = {
     "tensor-length": lambda: GC.from_weight((1, 0), 1).tensor(GC.from_weight((1,), 1)),
     # D_1 on (10^6) at level 10^6 would emit 10^6 + 1 terms in one application
     "operator-budget": lambda: ch.demazure_character(A1, (-10**6,), 10**6),
+    "affine-node": lambda: affine_pairing(A2, AffineWeight((1, -2), 2, 0), -1),
+    "operator-rank": lambda: ch.demazure_operator(A1, 1, GC.from_weight((1, 2), 1)),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -111,4 +114,5 @@ def test_invariants_raise_under_python_O():
         "negative-coefficient": "RuntimeError",
         "enumerate-length": "ValueError", "tensor-length": "ValueError",
         "operator-budget": "RuntimeError",
+        "affine-node": "ValueError", "operator-rank": "ValueError",
     }

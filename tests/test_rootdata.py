@@ -121,6 +121,13 @@ def test_simple_reflection_involution():
             assert rs.reflect(i, rs.reflect(i, mu)) == mu
 
 
+@pytest.mark.parametrize("mu", [(1,), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)])
+def test_reflect_rejects_wrong_length(mu):
+    # the table rows are longer than a weight: no row may truncate or pad it
+    with pytest.raises(ValueError, match="coordinates"):
+        root_system("A", 2).reflect(1, mu)
+
+
 def test_root_coordinates_inverse():
     for family, rank in [("A", 3), ("C", 2), ("G", 2), ("D", 4)]:
         rs = root_system(family, rank)

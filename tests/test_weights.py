@@ -40,6 +40,23 @@ def test_affine_pairing_node0():
     assert affine_pairing(rs, w, 2) == -2
 
 
+@pytest.mark.parametrize("i", [-1, 3, 5])
+def test_affine_pairing_rejects_nodes_outside_0_to_rank(i):
+    rs = root_system("A", 2)
+    w = AffineWeight((1, -2), 2, 0)
+    with pytest.raises(ValueError, match="node"):
+        affine_pairing(rs, w, i)
+    with pytest.raises(ValueError, match="node"):
+        affine_reflect(rs, i, w)
+
+
+@pytest.mark.parametrize("node", [-1, 3])
+def test_dominance_rejects_a_pick_outside_0_to_rank(node):
+    with pytest.raises(ValueError, match="node"):
+        dominance_algorithm(root_system("A", 2), AffineWeight((1, -2), 2, 0),
+                            pick=lambda negative: node)
+
+
 def test_affine_reflect_involution_and_level():
     rng = random.Random(0)
     for family, rank in FAMILIES:
