@@ -21,10 +21,15 @@ termwise, which for pairing m = lam(h_i) works out to
 
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
-Every character is D along one dominance walk's word, applied by one loop
-that stops a character past ``_TERM_BUDGET`` output terms; one application
-stops before its strings would emit more than that.  ``g0_branch`` sums
-signs by Weyl's character formula; only a failing slice peels characters.
+Every character is D along one dominance walk's word, and every operator
+runs in one loop, ``_apply_word``, on a dict from an int to its
+multiplicity.  The int packs a term's (finite, grade, h_0 pairing level -
+finite(h_theta), level) in biased bit fields, the first lowest, too wide to
+overflow: row i of ``rs._alphas``, packed, is the step of D_i, and m is field
+i - 1 (field n + 1 for node 0).  The loop stops a character past
+``_TERM_BUDGET`` output terms; one application stops before its strings
+would emit more than that.  ``g0_branch`` sums signs by Weyl's character
+formula; only a failing slice peels characters.
 """
 
 from __future__ import annotations
@@ -110,42 +115,60 @@ class GradedCharacter:
 
 
 def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCharacter:
-    if not 0 <= i <= rs.rank:
-        raise ValueError("node %r out of range" % (i,))
-    # finite part and grade drop (delta coefficient) of alpha_i
-    n, theta_co = rs.rank, rs.coroot_vector(rs.theta)
-    alpha_w, grade_drop = rs._alphas[i][:n], rs._alphas[i][n]
-    minus_alpha = tuple(-a for a in alpha_w)
-    out = {}
-    emitted = 0
-    for (fin, lvl, grade), mult in char.terms.items():
-        fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
-        m = lvl - sum(map(mul, fin, theta_co)) if i == 0 else fin[i - 1]
-        # walk down from lam, or up from lam + alpha_i; m == -1 adds nothing
-        if m >= 0:
-            count, step, grade_step = m + 1, minus_alpha, -grade_drop
-        else:
-            count, step, grade_step = -m - 1, alpha_w, grade_drop
-            fin, grade, mult = tuple(map(add, fin, alpha_w)), grade + grade_drop, -mult
-        emitted += count
-        if emitted > _TERM_BUDGET:
-            raise RuntimeError("character budget exceeded: %d terms" % emitted)
-        for _ in range(count):
-            key = (fin, lvl, grade)
-            out[key] = out.get(key, 0) + mult
-            fin, grade = tuple(map(add, fin, step)), grade + grade_step
-    return GradedCharacter._adopt({key: c for key, c in out.items() if c})
+    """D_i applied to ``char``, i in 0..rank: pack, one letter, decode."""
+    return _apply_word(rs, (i,), char)
 
 
 def _apply_word(rs: RootSystem, word, char: GradedCharacter) -> GradedCharacter:
-    """Apply D_i for each i of word, first letter first, within _TERM_BUDGET terms."""
-    terms = 0
+    """Apply D_i for each i of word, first letter first, within _TERM_BUDGET terms:
+    pack once, step, decode once.  No field overflows, as each emitted term is
+    at most budget steps of alpha_i from a term the letter was applied to."""
+    n, word, budget = rs.rank, tuple(word), _TERM_BUDGET
+    if bad := [i for i in word if not 0 <= i <= n]:
+        raise ValueError("node %r out of range" % (bad[0],))
+    theta_co, rows = rs.coroot_vector(rs.theta), []
+    for term, mult in char.terms.items():
+        fin, lvl, grade = term
+        fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
+        if not all(isinstance(c, int) for c in (*fin, lvl, grade)):
+            raise ValueError("term %r has a coordinate, level or grade that is not an int"
+                             % (term,))
+        rows.append(((*fin, grade, lvl - sum(map(mul, fin, theta_co)), lvl), mult))
+    top = max(abs(c) for alpha in rs._alphas for c in alpha)
+    reach = max((abs(c) for fields, _ in rows for c in fields), default=0)
+    width = (reach + (len(word) + 1) * top * budget).bit_length() + 1
+    bias, mask, shifts = 1 << width - 1, (1 << width) - 1, range(0, (n + 3) * width, width)
+
+    def pack(fields, offset):
+        return sum(c + offset << s for c, s in zip(fields, shifts))
+
+    terms, total = {pack(fields, bias): mult for fields, mult in rows}, 0
     for i in word:
-        char = demazure_operator(rs, i, char)
-        terms += len(char.terms)
-        if terms > _TERM_BUDGET:
-            raise RuntimeError("character budget exceeded: %d terms" % terms)
-    return char
+        step, at = pack(rs._alphas[i], 0), shifts[i - 1 if i else n + 1]
+        out, emitted, down = {}, 0, -step
+        get = out.get
+        for key, mult in terms.items():
+            # pairing m = field - bias: walk m + 1 terms down from lam, or
+            # -m - 1 up from lam + alpha_i; m == -1 adds nothing
+            if (field := key >> at & mask) >= bias:
+                count, stride = field - bias + 1, down
+            else:
+                count, stride, key, mult = bias - 1 - field, step, key + step, -mult
+            emitted += count
+            if emitted > budget:
+                raise RuntimeError("character budget exceeded: %d terms" % emitted)
+            for _ in range(count):
+                out[key] = get(key, 0) + mult
+                key += stride
+        terms = {key: c for key, c in out.items() if c}
+        total += len(terms)
+        if total > budget:
+            raise RuntimeError("character budget exceeded: %d terms" % total)
+    decoded = {}
+    for key, c in terms.items():
+        fields = [(key >> s & mask) - bias for s in shifts]
+        decoded[(tuple(fields[:n]), fields[-1], fields[n])] = c
+    return GradedCharacter._adopt(decoded)
 
 
 def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharacter:

@@ -140,13 +140,13 @@ def test_budget_error_is_not_kept(monkeypatch):
 
 def test_repeated_certificate_applies_no_operator(monkeypatch):
     applied = []
-    operator = characters.demazure_operator
+    apply_word = characters._apply_word
 
-    def counted(rs, i, char):
-        applied.append(i)
-        return operator(rs, i, char)
+    def counted(rs, word, char):
+        applied.extend(word := tuple(word))
+        return apply_word(rs, word, char)
 
-    monkeypatch.setattr(characters, "demazure_operator", counted)
+    monkeypatch.setattr(characters, "_apply_word", counted)
     args = (A2, (1, -2), ((0, -1), (1, -1)), 1)
     first = embedding_certificate(*args)
     assert applied

@@ -94,6 +94,16 @@ def test_operator_rejects_terms_of_the_wrong_rank(rs, i, fin):
         demazure_operator(rs, i, char)
 
 
+@pytest.mark.parametrize("term", [((1, 0), 1.5, 0), ((1.0, 0), 1, 0), ((1, 0), 1, 0.0),
+                                  ((1, "0"), 1, 0), ((1, 0), None, 0)])
+def test_operator_rejects_terms_that_are_not_int(term):
+    char = GradedCharacter({((0, 0), 1, 0): 1, term: 1})
+    for i in range(3):
+        with pytest.raises(ValueError, match="not an int") as err:
+            demazure_operator(A2, i, char)
+        assert repr(term) in str(err.value)
+
+
 def test_frozen_a1_character():
     c = demazure_character(A1, (2,), 1)
     assert c.terms == {((2,), 1, 0): 1, ((0,), 1, 1): 1}

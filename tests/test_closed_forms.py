@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import walk_reference as reference
 from demazure import characters as ch
 from demazure.admissibility import RootProfile
 from demazure.characters import (GradedCharacter, demazure_character,
@@ -96,17 +97,19 @@ def test_g0_branch_matches_fixed_point(monkeypatch, family, rank):
 # -- the character term budget -------------------------------------------------
 
 def _terms_out(monkeypatch, compute):
-    """Output terms summed over the operator applications of compute()."""
-    seen = []
+    """Output terms summed over the operator applications of compute(),
+    counted letter by letter with the reference operator at the kernel's seam."""
+    seen, apply_word = [], ch._apply_word
 
-    def counting(rs, i, char):
-        out = demazure_operator(rs, i, char)
-        seen.append(len(out.terms))
-        return out
+    def counting(rs, word, char):
+        for i in word:
+            char = reference.demazure_operator(rs, i, char)
+            seen.append(len(char.terms))
+        return char
 
-    monkeypatch.setattr(ch, "demazure_operator", counting)
+    monkeypatch.setattr(ch, "_apply_word", counting)
     compute()
-    monkeypatch.setattr(ch, "demazure_operator", demazure_operator)
+    monkeypatch.setattr(ch, "_apply_word", apply_word)
     return sum(seen)
 
 

@@ -36,8 +36,11 @@ BAD = {
 }
 
 def character_check(name):
-    ch.demazure_operator = lambda rs, i, char: BAD[name]
-    return ch.demazure_character(A1, MU, K)
+    apply_word, ch._apply_word = ch._apply_word, lambda rs, word, char: BAD[name]
+    try:
+        return ch.demazure_character(A1, MU, K)
+    finally:
+        ch._apply_word = apply_word
 
 def budget_check():
     budget, ch._TERM_BUDGET = ch._TERM_BUDGET, 0
@@ -79,6 +82,9 @@ CHECKS = {
     "operator-budget": lambda: ch.demazure_character(A1, (-10**6,), 10**6),
     "affine-node": lambda: affine_pairing(A2, AffineWeight((1, -2), 2, 0), -1),
     "operator-rank": lambda: ch.demazure_operator(A1, 1, GC.from_weight((1, 2), 1)),
+    # a float level once gave a 2-term character, a float coordinate a bare TypeError
+    "operator-level": lambda: ch.demazure_operator(A2, 1, GC({((1, 0), 1.5, 0): 1})),
+    "operator-coordinate": lambda: ch.demazure_operator(A2, 1, GC({((1.0, 0), 1, 0): 1})),
 }
 CHECKS.update({name: (lambda name=name: character_check(name)) for name in BAD})
 
@@ -115,4 +121,5 @@ def test_invariants_raise_under_python_O():
         "enumerate-length": "ValueError", "tensor-length": "ValueError",
         "operator-budget": "RuntimeError",
         "affine-node": "ValueError", "operator-rank": "ValueError",
+        "operator-level": "ValueError", "operator-coordinate": "ValueError",
     }

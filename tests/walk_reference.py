@@ -7,8 +7,12 @@ Every function below is the earlier code's, unchanged, except that
 for ``self``) and the callers pass it where they passed the method.  The walk
 takes ``pairing`` and ``reflect`` callbacks, the reflections read alpha_i from
 ``rs.cartan`` and ``rs.theta_weight``, and the operator branches on node 0.
-The character type and the term budget are imported from the package, so old
-and new results compare with ``==``.
+``demazure_operator`` and ``_apply_word`` are also the tuple-keyed operator
+loop that the packed-integer loop of ``demazure.characters`` replaced, and
+its oracle for results, term order and budget errors.  The character type and
+the term budget are imported from the package, so old and new results compare
+with ``==``; a test that changes the package's budget sets this module's
+``_TERM_BUDGET`` too.
 """
 
 from __future__ import annotations
