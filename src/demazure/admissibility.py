@@ -112,8 +112,8 @@ def _profile(root: Root, sign: str, d: int, pairs) -> RootProfile:
 
 def _split_pass(rs: RootSystem, mu, split):
     """Check the split and pair each part once.  Returns the sign witnesses
-    (root, part index, pairing) and, only when there are none, a
-    (RootProfile, x) for every (root, sign, x) of signed_roots(rs, mu)."""
+    (root, part index, pairing) and, only when there are none, the
+    RootProfile of every (root, sign) of signed_roots(rs, mu)."""
     _check_split(rs, mu, split)
     pairs, roots = rs.pairings(mu), rs.positive_roots
     columns = tuple(zip(*(rs.pairings(p) for p in split)))
@@ -121,22 +121,16 @@ def _split_pass(rs: RootSystem, mu, split):
     witnesses = tuple((root, idx, v) for root, pair, column in zip(roots, pairs, columns)
                       for idx, v in enumerate(column) if v and pair * v <= 0)
     return witnesses, () if witnesses else tuple(
-        (_profile(roots[j], sign, rs._d_at[j], columns[j]), x)
-        for j, sign, x in _signed_positions(pairs))
+        _profile(roots[j], sign, rs._d_at[j], columns[j])
+        for j, sign, _ in _signed_positions(pairs))
 
 
-def _scan(prof: RootProfile) -> tuple[int, int, int]:
-    """(x, weighted_count(), min) of the profile, one pass over the values each."""
-    top = max(prof.values)
-    return top, len(prof.values) * top - sum(prof.values), min(prof.values)
-
-
-def _conditions(prof: RootProfile, x: int, k: int, r: int, scan) -> tuple:
-    """(condition A, condition B) from _scan(prof); B's x >= t + d*r is min >= d*r."""
-    top, weighted, low = scan
+def _conditions(prof: RootProfile, k: int, r: int) -> tuple:
+    """(condition A, condition B) of the profile at r.  The parts sum to mu, so
+    the values sum to |mu(h_alpha)|, and B's x >= t + d*r is min >= d*r."""
     dr = prof.d * r
-    return ((top - 1) % dr + 1) * k > weighted, (
-        low >= dr if prof.sign == "-" and x > k * dr else None)
+    return prof.m(r) * k > prof.weighted_count(), (
+        min(prof.values) >= dr if prof.sign == "-" and sum(prof.values) > k * dr else None)
 
 
 def is_preadmissible(rs: RootSystem, mu, split):
@@ -161,9 +155,8 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     if r < 1:
         raise ValueError("r must be >= 1")
     witnesses, profiles = _split_pass(rs, mu, split)
-    records = () if witnesses else tuple(
-        ConditionRecord(prof, *_conditions(prof, x, len(split), r, _scan(prof)))
-        for prof, x in profiles)
+    records = tuple(ConditionRecord(prof, *_conditions(prof, len(split), r))
+                    for prof in profiles)
     return AdmissibilityReport(tuple(mu), tuple(tuple(p) for p in split), r,
                                not witnesses, witnesses, records)
 
@@ -180,13 +173,12 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     witnesses, profiles = _split_pass(rs, mu, split)
     if witnesses:
         return None
-    scans = [(prof, x, _scan(prof)) for prof, x in profiles]
-    stop = max(1, *(scan[0] for _, _, scan in scans))
+    stop = max(1, *(prof.x for prof in profiles))
     if r_max is not None:
         stop = min(stop, r_max)
     for r in range(1, stop + 1):
         if all(a and b is not False for a, b in
-               (_conditions(prof, x, len(split), r, scan) for prof, x, scan in scans)):
+               (_conditions(prof, len(split), r) for prof in profiles)):
             return r
     return None
 
