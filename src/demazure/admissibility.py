@@ -168,45 +168,65 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     For r at least the largest profile value x the conditions always hold:
     m(r) = x makes condition A read x*k > k*x - sum(values) which is the
     positivity of the pairing, and the premise of condition B fails since
-    mu(h_alpha) <= k*x <= k*d*r.  So the scan can stop at max(x).
+    mu(h_alpha) <= k*x <= k*d*r.  So the scan ends by max(x).  It skips the
+    r where a profile must fail: A needs d*r*k > weighted_count(), as m(r)
+    <= d*r; while q = (x - 1) // (d*r) stays fixed, m(r) = x - q*d*r falls,
+    so A fails to the end of that block; B fails until k*d*r >= sum(values).
     """
     witnesses, profiles = _split_pass(rs, mu, split)
     if witnesses:
         return None
-    stop = max(1, *(prof.x for prof in profiles))
-    if r_max is not None:
-        stop = min(stop, r_max)
-    for r in range(1, stop + 1):
-        if all(a and b is not False for a, b in
-               (_conditions(prof, len(split), r) for prof in profiles)):
+    k, r = len(split), 1
+    while r_max is None or r <= r_max:
+        skip = r
+        for prof in profiles:
+            a, b = _conditions(prof, k, r)
+            if not a:  # then q >= 1, as the values are >= 0
+                d, x = prof.d, prof.x
+                q = (x - 1) // (d * r)
+                skip = max(skip, prof.weighted_count() // (d * k) + 1, (x - 1) // (d * q) + 1)
+            if b is False:
+                skip = max(skip, -(-sum(prof.values) // (k * prof.d)))
+        if skip == r:
             return r
+        r = skip
     return None
 
 
 # -- searching for splits ----------------------------------------------------
 
 def _compositions(total: int, k: int):
-    """Weak compositions of total into k parts, earlier parts greedy-first."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+    """Weak compositions of total into k parts, earlier parts greedy-first:
+    each step takes one unit from the last nonzero part i before the end,
+    and gathers it and the end part onto part i + 1."""
+    comp = [total] + [0] * (k - 1)
+    yield tuple(comp)
+    while any(comp[:-1]):
+        i = max(j for j in range(k - 1) if comp[j])
+        comp[i], comp[-1], comp[i + 1] = comp[i] - 1, 0, comp[-1] + 1
+        yield tuple(comp)
 
 
 def enumerate_dominant_splits(rs: RootSystem, lam, k: int):
     """All splits of a dominant lam into k dominant parts, coordinatewise.
 
     Deterministic order: per node, compositions give earlier parts the
-    larger share first; nodes vary with the first node outermost."""
+    larger share first; nodes vary with the first node outermost.  Splits
+    come lazily, each the transpose of one composition per node."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("enumerate_dominant_splits needs a dominant weight")
     if k < 1:
         raise ValueError("k must be >= 1")
-    for combo in itertools.product(*[tuple(_compositions(c, k)) for c in lam]):
-        yield tuple(tuple(comp[j] for comp in combo) for j in range(k))
+
+    def nodes(combo):
+        if len(combo) == len(lam):
+            yield tuple(zip(*combo))
+            return
+        for comp in _compositions(lam[len(combo)], k):
+            yield from nodes(combo + (comp,))
+
+    yield from nodes(())
 
 
 def pull_back(rs: RootSystem, word, split):

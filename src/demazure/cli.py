@@ -166,7 +166,7 @@ def _cmd_split_search(a, rs) -> int:
         print(json.dumps({"split": [list(p) for p in cand],
                           "admissible_1": admissible}, sort_keys=True))
         found += 1
-        if a.first and found:
+        if a.first:
             break
     return 0 if found else 1
 

@@ -25,7 +25,7 @@ import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .rootdata import RootSystem
 
@@ -201,10 +201,14 @@ def _reach(starts, step, budget=None) -> list:
 
 
 def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
-    """Closure of the straight path to ``lam`` under all lowering operators."""
+    """Closure of the straight path to ``lam`` under all lowering operators;
+    RuntimeError up front when dim V(lam) (Weyl) is over ``budget`` vertices."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
+    rho = (1,) * rs.rank  # prod (lam + rho)(h_alpha) / rho(h_alpha) = dim V(lam)
+    if prod(rs.pairings([c + 1 for c in lam])) > budget * prod(rs.pairings(rho)):
+        raise RuntimeError("vertex budget exceeded")
     top = Path.straight(lam)
     edges = []
 

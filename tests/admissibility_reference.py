@@ -2,10 +2,12 @@
 oracle for the one-pass implementation in ``demazure.admissibility``.  Test
 use only.
 
-The functions below are the earlier module's, unchanged.  The result types
-(``RootProfile``, ``ConditionRecord``, ``AdmissibilityReport``, ``ScanRecord``,
-``ScanReport``) and the split enumeration helpers are imported from the
-package, so old and new results compare with ``==``.
+The functions below are the earlier module's, unchanged; the split
+enumeration is the earlier eager one, which builds every node's compositions
+before the first split.  The result types (``RootProfile``,
+``ConditionRecord``, ``AdmissibilityReport``, ``ScanRecord``, ``ScanReport``)
+and the other split helpers are imported from the package, so old and new
+results compare with ``==``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import itertools
 
 from demazure.admissibility import (AdmissibilityReport, ConditionRecord,
                                     RootProfile, ScanRecord, ScanReport,
-                                    balanced_split, enumerate_dominant_splits,
-                                    pull_back)
+                                    balanced_split, pull_back)
 from demazure.rootdata import Root, RootSystem
 from demazure.weights import finite_dominance, signed_roots
 
@@ -98,6 +99,30 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
         if is_r_admissible(rs, mu, split, r).admissible:
             return r
     return None
+
+
+def _compositions(total: int, k: int):
+    """Weak compositions of total into k parts, earlier parts greedy-first."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def enumerate_dominant_splits(rs: RootSystem, lam, k: int):
+    """All splits of a dominant lam into k dominant parts, coordinatewise.
+
+    Deterministic order: per node, compositions give earlier parts the
+    larger share first; nodes vary with the first node outermost."""
+    lam = rs.check_weight(lam)
+    if not rs.is_dominant(lam):
+        raise ValueError("enumerate_dominant_splits needs a dominant weight")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    for combo in itertools.product(*[tuple(_compositions(c, k)) for c in lam]):
+        yield tuple(tuple(comp[j] for comp in combo) for j in range(k))
 
 
 def find_1_admissible(rs: RootSystem, mu, k: int):

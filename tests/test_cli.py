@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -359,3 +360,32 @@ def test_tensor_over_budget_exits_2_fast(capsys):
     assert captured.out == ""
     assert "vertex budget exceeded" in captured.err
     assert elapsed < 2
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    pytest.param(("split-search", "--type", "A", "--rank", "1", "--mu", "100000",
+                  "--k", "3", "--first"), 0,
+                 '{"admissible_1": false, "split": [[100000], [0], [0]]}\n',
+                 id="split-search-mu-100000"),
+    pytest.param(("split-search", "--type", "A", "--rank", "1", "--mu", "1",
+                  "--k", "3000", "--first"), 0,
+                 '{"admissible_1": true, "split": [[1]%s]}\n' % (", [0]" * 2999),
+                 id="split-search-k-3000"),
+    pytest.param(("crystal", "--type", "A", "--rank", "2", "--lambda", "200,200"), 2, "",
+                 id="crystal-200-200"),
+])
+def test_large_inputs_end_in_bounded_time_and_memory(argv, code, out):
+    """Each call in a subprocess under a wall-clock timeout and a 512 MB
+    address-space cap, so a regression fails here instead of stalling."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "demazure", *argv], env=env,
+                          preexec_fn=_cap_memory, capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    if code == 2:
+        assert proc.stderr == "error: vertex budget exceeded\n"

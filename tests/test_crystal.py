@@ -379,6 +379,26 @@ def test_build_crystal_budget_boundary():
         build_crystal(A2, (1, 1), budget=7)
 
 
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 2, (2, 1)), ("G", 2, (1, 1)), ("B", 3, (0, 1, 1)), ("C", 3, (1, 0, 1)),
+    ("D", 4, (0, 1, 0, 0)), ("F", 4, (0, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0))])
+def test_build_crystal_budget_is_the_dimension(family, rank, lam):
+    # the size check reads Weyl's dimension formula; it must equal the size
+    # the closure reaches, so the boundary sits exactly at dim V(lam)
+    rs = root_system(family, rank)
+    size = len(build_crystal(rs, lam).vertices)
+    assert size == finite_character(rs, lam).dimension()
+    assert len(build_crystal(rs, lam, budget=size).vertices) == size
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        build_crystal(rs, lam, budget=size - 1)
+
+
+def test_build_crystal_refuses_a_large_crystal_before_building():
+    # dim V(200, 200) of A2 is 8,120,601; _reach would take minutes to find out
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        build_crystal(A2, (200, 200))
+
+
 def test_tensor_crystal_budget_boundary():
     # 3 x 3 = 9 product vertices; the check comes before any concatenation
     b1, b2 = build_crystal(A2, (1, 0)), build_crystal(A2, (0, 1))
