@@ -193,7 +193,7 @@ def test_first_split_comes_back_at_once(lam, k, first):
     """The eager form builds 5 * 10**11 compositions for the first case and
     recurses 3,000 deep for the second."""
     rs = root_system("A", 1)
-    with deadline(5):
+    with deadline(2):
         splits = new.enumerate_dominant_splits(rs, lam, k)
         assert next(splits) == first
         assert next(splits) == ((lam[0] - 1,), (1,)) + ((0,),) * (k - 2)

@@ -393,12 +393,6 @@ def test_build_crystal_budget_is_the_dimension(family, rank, lam):
         build_crystal(rs, lam, budget=size - 1)
 
 
-def test_build_crystal_refuses_a_large_crystal_before_building():
-    # dim V(200, 200) of A2 is 8,120,601; _reach would take minutes to find out
-    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
-        build_crystal(A2, (200, 200))
-
-
 def test_tensor_crystal_budget_boundary():
     # 3 x 3 = 9 product vertices; the check comes before any concatenation
     b1, b2 = build_crystal(A2, (1, 0)), build_crystal(A2, (0, 1))
