@@ -6,7 +6,8 @@ positive root (zero pairing forces all parts to pair to zero).  On top of
 that, r-admissibility runs two counting conditions on the per-root value
 profiles; condition A compares the remainder class of the largest value
 against the weighted multiplicities below it, condition B bounds how far
-the values may spread when mu itself pairs large.
+the values may spread when mu itself pairs large.  ``_conditions`` states
+both once, on the profile's own values, which sum to |mu(h_alpha)|.
 
 Every test makes one pass over a split: the split is checked once, each
 part is paired once with every positive root (``rs.pairings``), and the
@@ -196,9 +197,8 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
 # -- searching for splits ----------------------------------------------------
 
 def _compositions(total: int, k: int):
-    """Weak compositions of total into k parts, earlier parts greedy-first:
-    each step takes one unit from the last nonzero part i before the end,
-    and gathers it and the end part onto part i + 1."""
+    """Weak compositions of total into k parts, earlier parts greedy-first: a step moves
+    a unit of the last nonzero comp[i] (i < k - 1) and all of comp[-1] to comp[i + 1]."""
     comp = [total] + [0] * (k - 1)
     yield tuple(comp)
     while any(comp[:-1]):
