@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from .rootdata import Root, RootSystem
 from .weights import _signed_positions, finite_dominance
 
+_CANDIDATE_BUDGET = 10**5  # candidates in a row a search for a 1-admissible split may reject
+
 
 @dataclass(frozen=True)
 class RootProfile:
@@ -243,13 +245,23 @@ def candidate_splits(rs: RootSystem, mu, k: int):
         yield pull_back(rs, word, split)
 
 
-def find_1_admissible(rs: RootSystem, mu, k: int):
-    """First 1-admissible candidate split of mu into k parts; None if every
-    candidate fails."""
+def _admissible_candidates(rs: RootSystem, mu, k: int):
+    """The 1-admissible candidate splits of mu into k parts, in enumeration
+    order; RuntimeError past _CANDIDATE_BUDGET failed candidates in a row."""
+    misses = 0
     for cand in candidate_splits(rs, mu, k):
         if is_r_admissible(rs, mu, cand, 1).admissible:
-            return cand
-    return None
+            misses = 0
+            yield cand
+        elif (misses := misses + 1) > _CANDIDATE_BUDGET:
+            raise RuntimeError("candidate budget exceeded: %d candidates in a row are "
+                               "not 1-admissible" % _CANDIDATE_BUDGET)
+
+
+def find_1_admissible(rs: RootSystem, mu, k: int):
+    """First 1-admissible candidate split of mu into k parts; None if every
+    candidate fails, RuntimeError past _CANDIDATE_BUDGET failed candidates."""
+    return next(_admissible_candidates(rs, mu, k), None)
 
 
 def balanced_split(rs: RootSystem, mu, k: int) -> tuple[tuple[int, ...], ...]:

@@ -28,8 +28,11 @@ finite(h_theta), level) in biased bit fields, the first lowest, too wide to
 overflow: row i of ``rs._alphas``, packed, is the step of D_i, and m is field
 i - 1 (field n + 1 for node 0).  The loop stops a character past
 ``_TERM_BUDGET`` output terms; one application stops before its strings
-would emit more than that.  ``g0_branch`` sums signs by Weyl's character
-formula; only a failing slice peels characters.
+would emit more than that.  Products run in one loop too, ``_product``,
+which ``tensor`` and ``embedding_certificate`` share: terms packed into ints
+of signed fields, so a product of terms is a sum of ints.  ``g0_branch``
+sums signs by Weyl's character formula; only a failing slice peels
+characters.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, compress, takewhile
 from math import prod
-from operator import add, ge, mul, sub
+from operator import add, ge, lshift, mul, sub
 from threading import Lock
 
 from .admissibility import AdmissibilityReport, _check_split, is_r_admissible
@@ -92,16 +95,20 @@ class GradedCharacter:
         return self + other.scale(-1)
 
     def tensor(self, other):
-        """Convolution: finite parts, levels and grades all add."""
+        """Convolution: finite parts, levels and grades all add (``_product``)."""
+        if not (self.terms and other.terms):
+            return GradedCharacter._adopt({})
         ranks = {len(f) for f, _, _ in self.terms} | {len(f) for f, _, _ in other.terms}
-        if self.terms and other.terms and len(ranks) > 1:
+        if len(ranks) > 1:
             raise ValueError("tensor of characters of different ranks %r" % sorted(ranks))
-        out = {}
-        for (f1, l1, g1), c1 in self.terms.items():
-            for (f2, l2, g2), c2 in other.terms.items():
-                key = (tuple(map(add, f1, f2)), l1 + l2, g1 + g2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return GradedCharacter._adopt({key: c for key, c in out.items() if c})
+        n = ranks.pop()
+        flats = [tuple(chain.from_iterable((*fin, grade, lvl, c)
+                                           for (fin, lvl, grade), c in char.terms.items()))
+                 for char in (self, other)]
+        if not all(isinstance(c, int) for c in chain(*flats)):
+            raise ValueError("tensor of characters with an entry that is not an int")
+        return GradedCharacter._adopt({(tuple(f[:n]), f[n + 1], f[n]): c
+                                       for f, c in _product(flats, n + 2)})
 
     def __eq__(self, other):
         return isinstance(other, GradedCharacter) and self.terms == other.terms
@@ -341,25 +348,52 @@ _memo, _memo_lock = OrderedDict(), Lock()  # (rs, mu, k) -> flat terms, oldest u
 _memo_terms = 0  # terms held in _memo
 
 
-def _character(rs: RootSystem, mu, k: int) -> GradedCharacter:
-    """demazure_character(rs, mu, k) as a fresh object.  The memo keeps it as a
-    flat tuple of ints (finite coordinates, grade, multiplicity per term),
-    up to _MEMO_TERMS terms in all; a larger character is not kept."""
+def _flat(rs: RootSystem, mu, k: int) -> tuple:
+    """demazure_character(rs, mu, k) as one flat tuple of ints (finite
+    coordinates, grade, multiplicity per term).  The memo keeps it, up to
+    _MEMO_TERMS terms in all; a larger character is not kept."""
     global _memo_terms
-    key, n = (rs, mu, k), rs.rank
+    key = (rs, mu, k)
     with _memo_lock:
         if (flat := _memo.pop(key, None)) is None:
             char = demazure_character(rs, mu, k)
-            if len(char.terms) > _MEMO_TERMS:
-                return char
             flat = tuple(chain.from_iterable(f + (g, c) for (f, _, g), c in char.terms.items()))
+            if len(char.terms) > _MEMO_TERMS:
+                return flat
             _memo_terms += len(char.terms)
             while _memo_terms > _MEMO_TERMS:
                 (old_rs, _, _), old = _memo.popitem(last=False)
                 _memo_terms -= len(old) // (old_rs.rank + 2)
         _memo[key] = flat
-    return GradedCharacter._adopt({(flat[j:j + n], k, flat[j + n]): flat[j + n + 1]
-                                   for j in range(0, len(flat), n + 2)})
+    return flat
+
+
+def _product(factors, nfields):
+    """The one product loop, over characters given as flat tuples of ints:
+    per term nfields fields, then the multiplicity.  A term packs into one
+    int of signed fields, first field lowest, each wide enough for the
+    factors' largest |entries| summed, so a product of terms is a sum of ints
+    and no field overflows.  The factors multiply left to right, the terms
+    so far outer and the factor's inner, as a loop over term tuples does,
+    and zero sums drop after each factor; the result decodes once, as
+    (fields, multiplicity) pairs in insertion order."""
+    width = sum(max(map(abs, flat), default=0) for flat in factors).bit_length() + 1
+    shifts, stride = range(0, nfields * width, width), nfields + 1
+    packed = [[(sum(map(lshift, flat[j:j + nfields], shifts)), flat[j + nfields])
+               for j in range(0, len(flat), stride)] for flat in factors]
+    acc = dict(packed[0])
+    for terms in packed[1:]:
+        out = {}
+        get = out.get
+        for key, c in acc.items():
+            for step, m in terms:
+                term = key + step
+                out[term] = get(term, 0) + c * m
+        acc = {key: c for key, c in out.items() if c}
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = sum(half << s for s in shifts)
+    return [([(key >> s & mask) - half for s in shifts], c)
+            for key, c in zip(map(bias.__add__, acc), acc.values())]
 
 
 def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
@@ -383,16 +417,16 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
         raise ValueError("report is for another mu, split or r")
     else:
         _check_split(rs, mu, split)
-    k = len(split)
-    lhs, rhs = _character(rs, mu, r * k), _character(rs, split[0], r)
-    for part in split[1:]:
-        rhs = rhs.tensor(_character(rs, part, r))
-    failures = []
-    for (fin, lvl, grade), mult in lhs.sorted_terms():
-        have = rhs.coefficient(fin, lvl, grade)
-        if mult > have:
-            failures.append((fin, grade, mult, have))
-    extremal = (lhs.coefficient(mu, r * k, 0), rhs.coefficient(mu, r * k, 0))
+    n, level = rs.rank, r * len(split)
+    flat = _flat(rs, mu, level)
+    lhs = GradedCharacter._adopt({(flat[j:j + n], level, flat[j + n]): flat[j + n + 1]
+                                  for j in range(0, len(flat), n + 2)})
+    rhs = GradedCharacter._adopt({(tuple(f[:n]), level, f[n]): c for f, c in
+                                  _product([_flat(rs, part, r) for part in split], n + 1)})
+    get = rhs.terms.get
+    failures = sorted(((key[0], key[2], mult, have) for key, mult in lhs.terms.items()
+                       if mult > (have := get(key, 0))), key=lambda f: (f[1], f[0]))
+    extremal = (lhs.coefficient(mu, level, 0), rhs.coefficient(mu, level, 0))
     if extremal != (1, 1):
         failures.append((mu, 0) + extremal)
     return EmbeddingCertificate(mu=mu, split=split, r=r,

@@ -16,7 +16,8 @@ import json
 import sys
 
 from .acceptance import run_all
-from .admissibility import balanced_split, candidate_splits, is_r_admissible
+from .admissibility import (_admissible_candidates, balanced_split, candidate_splits,
+                            is_r_admissible)
 from .characters import demazure_character, embedding_certificate
 from .crystal import (build_crystal, component_of, crystal_decomposition,
                       demazure_subcrystal, tensor_crystal, to_dot)
@@ -159,10 +160,12 @@ def _cmd_split_search(a, rs) -> int:
                "admissible_1": rep.admissible})
         return 0 if rep.admissible else 1
     found = 0
-    for cand in candidate_splits(rs, a.mu, a.k):
-        admissible = is_r_admissible(rs, a.mu, cand, 1).admissible
-        if a.find_1_admissible and not admissible:
-            continue
+    if a.find_1_admissible:
+        rows = ((cand, True) for cand in _admissible_candidates(rs, a.mu, a.k))
+    else:
+        rows = ((cand, is_r_admissible(rs, a.mu, cand, 1).admissible)
+                for cand in candidate_splits(rs, a.mu, a.k))
+    for cand, admissible in rows:
         print(json.dumps({"split": [list(p) for p in cand],
                           "admissible_1": admissible}, sort_keys=True))
         found += 1

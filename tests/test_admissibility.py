@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from demazure import admissibility
 from demazure.admissibility import (balanced_split, candidate_splits,
                                     enumerate_dominant_splits,
                                     find_1_admissible, is_preadmissible,
@@ -141,6 +142,27 @@ def test_admissibility_permutation_invariant():
 
 def test_find_1_admissible_c2():
     assert find_1_admissible(C2, (2, 1), 2) == ((2, 0), (0, 1))
+
+
+def test_search_stops_past_the_candidate_budget(monkeypatch):
+    """A2 (4, 2) in three parts: 28, 15 and 4 failed candidates come before
+    its three 1-admissible ones, and 40 after them.  The budget counts
+    failed candidates in a row."""
+    search = admissibility._admissible_candidates
+    found = list(search(A2, (4, 2), 3))
+    assert len(found) == 3 and found[0] == find_1_admissible(A2, (4, 2), 3)
+    monkeypatch.setattr(admissibility, "_CANDIDATE_BUDGET", 40)
+    assert list(search(A2, (4, 2), 3)) == found
+    monkeypatch.setattr(admissibility, "_CANDIDATE_BUDGET", 39)
+    rows = search(A2, (4, 2), 3)
+    assert [next(rows) for _ in found] == found
+    with pytest.raises(RuntimeError, match="candidate budget exceeded: 39 candidates"):
+        next(rows)
+    monkeypatch.setattr(admissibility, "_CANDIDATE_BUDGET", 28)
+    assert find_1_admissible(A2, (4, 2), 3) == found[0]
+    monkeypatch.setattr(admissibility, "_CANDIDATE_BUDGET", 27)
+    with pytest.raises(RuntimeError, match="candidate budget exceeded"):
+        find_1_admissible(A2, (4, 2), 3)
 
 
 def test_balanced_split_a3_boxes():

@@ -1,20 +1,24 @@
-"""The packed character memo behind ``embedding_certificate``: a
+"""The packed character memo and product behind ``embedding_certificate``: a
 differential oracle against the factor loop that computes every character
-afresh, the memo's safety (fresh objects, the term bound, budget errors),
-a guard that a repeated certificate applies no operator, and the
-``report=`` keyword."""
+afresh and multiplies by the earlier tuple loop (``tensor_reference``),
+certificates far from zero and with failures, the memo's safety (fresh
+objects, the term bound, budget errors), a guard that a repeated
+certificate applies no operator, and the ``report=`` keyword."""
 
 import random
 from collections import OrderedDict
 
 import pytest
 
+import tensor_reference
 from demazure import acceptance, characters
 from demazure.admissibility import (AdmissibilityReport, candidate_splits,
                                     is_r_admissible)
-from demazure.characters import demazure_character, embedding_certificate
+from demazure.characters import (GradedCharacter, demazure_character,
+                                 embedding_certificate)
 from demazure.rootdata import root_system
 
+A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 C2 = root_system("C", 2)
 G2 = root_system("G", 2)
@@ -29,7 +33,7 @@ def empty_memo(monkeypatch):
 
 def reference_certificate(rs, mu, split, r):
     """(lhs, rhs, failures) by the factor loop with no memo: every character
-    from demazure_character, the product in split order."""
+    from demazure_character, the product in split order by the tuple loop."""
     mu = tuple(mu)
     split = tuple(tuple(p) for p in split)
     k = len(split)
@@ -37,7 +41,7 @@ def reference_certificate(rs, mu, split, r):
     rhs = None
     for part in split:
         factor = demazure_character(rs, part, r)
-        rhs = factor if rhs is None else rhs.tensor(factor)
+        rhs = factor if rhs is None else tensor_reference.tensor(rhs, factor)
     failures = []
     for (fin, lvl, grade), mult in lhs.sorted_terms():
         have = rhs.coefficient(fin, lvl, grade)
@@ -81,6 +85,40 @@ def test_memo_matches_factor_loop_on_misses_and_hits():
             cert = embedding_certificate(rs, mu, split, r)
             assert cert.report == is_r_admissible(rs, mu, split, r)
             assert_matches_reference(cert, rs, mu, split, r)
+
+
+@pytest.mark.parametrize("mu,split,r", [
+    ((10**12,), ((6 * 10**11,), (4 * 10**11,)), 10**12),
+    ((-1000,), ((-600,), (-400,)), 1000),
+])
+def test_certificates_far_from_zero_match_factor_loop(mu, split, r):
+    cert = embedding_certificate(A1, mu, split, r)
+    assert cert.certified
+    assert_matches_reference(cert, A1, mu, split, r)
+
+
+def test_inadmissible_probe_with_failures_matches_factor_loop(monkeypatch):
+    """Every certificate tried, inadmissible splits included, certifies, so
+    this probe keeps only the grade-0 terms of each level-1 factor: then 15
+    lhs terms of grades 1 and 2 fail, and the failures come sorted by grade,
+    then weight, not in the lhs insertion order."""
+    computed = characters.demazure_character
+
+    def grade_zero_factors(rs, mu, k):
+        char = computed(rs, mu, k)
+        return char if k > 1 else GradedCharacter(
+            {key: c for key, c in char.terms.items() if key[2] == 0})
+
+    monkeypatch.setattr(characters, "demazure_character", grade_zero_factors)
+    monkeypatch.setitem(globals(), "demazure_character", grade_zero_factors)
+    mu, split = (-3, -1), ((-2, -2), (-1, 1))
+    cert = embedding_certificate(A2, mu, split, 1)
+    assert not cert.split_admissible and not cert.certified
+    assert len(cert.failures) == 15 and {grade for _, grade, _, _ in cert.failures} == {1, 2}
+    inserted = [(key[0], key[2]) for key, mult in cert.lhs.terms.items()
+                if mult > cert.rhs.terms.get(key, 0)]
+    assert inserted != [failure[:2] for failure in cert.failures]
+    assert_matches_reference(cert, A2, mu, split, 1)
 
 
 def test_mutating_a_certificate_leaves_the_next_unchanged():

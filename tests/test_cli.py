@@ -389,3 +389,18 @@ def test_large_inputs_end_in_bounded_time_and_memory(argv, code, out):
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
     if code == 2:
         assert proc.stderr == "error: vertex budget exceeded\n"
+
+
+def test_find_1_admissible_search_fails_fast():
+    """A1 mu = 100000 in three parts has its first 1-admissible candidate
+    after about 2.2*10^9 failed ones; the search stops at the budget of 10^5
+    failed candidates in a row and exits 2 within seconds."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "demazure", "split-search", "--type", "A",
+                           "--rank", "1", "--mu", "100000", "--k", "3",
+                           "--find-1-admissible"], env=env, preexec_fn=_cap_memory,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: candidate budget exceeded: 100000 candidates in a row "
+                           "are not 1-admissible\n")

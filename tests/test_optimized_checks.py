@@ -14,6 +14,7 @@ SCRIPT = r'''
 import sys
 from fractions import Fraction
 
+import demazure.admissibility as adm
 import demazure.characters as ch
 from demazure.admissibility import (balanced_split, enumerate_dominant_splits,
                                    find_1_admissible)
@@ -41,6 +42,13 @@ def character_check(name):
         return ch.demazure_character(A1, MU, K)
     finally:
         ch._apply_word = apply_word
+
+def candidate_check():
+    budget, adm._CANDIDATE_BUDGET = adm._CANDIDATE_BUDGET, 0
+    try:
+        return adm.find_1_admissible(A1, (6,), 3)
+    finally:
+        adm._CANDIDATE_BUDGET = budget
 
 def budget_check():
     budget, ch._TERM_BUDGET = ch._TERM_BUDGET, 0
@@ -78,6 +86,8 @@ CHECKS = {
     "character-budget": budget_check,
     "enumerate-length": lambda: list(enumerate_dominant_splits(A2, (1,), 2)),
     "tensor-length": lambda: GC.from_weight((1, 0), 1).tensor(GC.from_weight((1,), 1)),
+    "tensor-entry": lambda: GC({((Fraction(1, 2),), 1, 0): 1}).tensor(GC.from_weight((1,), 1)),
+    "candidate-budget": candidate_check,
     # D_1 on (10^6) at level 10^6 would emit 10^6 + 1 terms in one application
     "operator-budget": lambda: ch.demazure_character(A1, (-10**6,), 10**6),
     "affine-node": lambda: affine_pairing(A2, AffineWeight((1, -2), 2, 0), -1),
@@ -119,6 +129,7 @@ def test_invariants_raise_under_python_O():
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
         "enumerate-length": "ValueError", "tensor-length": "ValueError",
+        "tensor-entry": "ValueError", "candidate-budget": "RuntimeError",
         "operator-budget": "RuntimeError",
         "affine-node": "ValueError", "operator-rank": "ValueError",
         "operator-level": "ValueError", "operator-coordinate": "ValueError",
