@@ -45,6 +45,7 @@ def _path(den, runs, rank):
     _set(path, "den", den // g)
     _set(path, "runs", tuple((n // g, d) for n, d in out) if g > 1 else tuple(out))
     _set(path, "rank", rank)
+    _set(path, "_hash", hash((path.den, path.runs, rank)))  # the dataclass's hash, once
     return path
 
 
@@ -68,6 +69,9 @@ class Path:
 
     def __reduce__(self):
         return _path, (self.den, self.runs, self.rank)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return "Path(steps=%r, rank=%r)" % (self.steps, self.rank)
@@ -200,27 +204,104 @@ def _reach(starts, step, budget=None) -> list:
     return order
 
 
+def _fundamental(rs, j, budget):
+    """B(omega_j), or B(0) for j = 0, as the closure of the straight path
+    under all lowering operators, and its rows as ``_product`` gives them;
+    memoised on the root system."""
+    memo = vars(rs).setdefault("_fundamental_crystals", {})
+    if j not in memo:
+        top, edges = Path.straight(int(k == j) for k in range(1, rs.rank + 1)), []
+
+        def lower(u):
+            for i in range(1, rs.rank + 1):
+                if (v := root_operator_f(rs, i, u)) is not None:
+                    edges.append((u, v, i))
+                    yield v
+
+        order = _reach((top,), lower, budget)
+        index = {v: n for n, v in enumerate(order)}
+        f = {(u, i): index[v] for u, v, i in edges}
+        memo[j] = (CrystalGraph(tuple(order), tuple(edges), top),
+                   [[(f.get((v, i), -1), eps(rs, i, v), phi(rs, i, v)) for v in order]
+                    for i in range(1, rs.rank + 1)])
+    return memo[j]
+
+
+def _product(rs, factors, budget, memo, rows=True):
+    """The top component of B(omega_j1) * B(omega_j2) * ... for the nodes j
+    in ``factors``, in Littelmann's order: its edges (u, v, i) between the
+    numbers of its vertices in breadth-first order, and (if ``rows``) per
+    node i a row per vertex b: (number of f_i(b) or -1, eps_i(b), phi_i(b)).
+    Two or more factors are searched on pairs (b_1, b_2) of vertices of the
+    components of the two halves; memoised in ``memo``."""
+    if len(factors) == 1:
+        return None, _fundamental(rs, factors[0], budget)[1]
+    if factors not in memo:
+        half = len(factors) // 2
+        rows1, rows2 = (_product(rs, h, budget, memo)[1]
+                        for h in (factors[:half], factors[half:]))
+        edges = []
+
+        def lower(b):
+            x, y = b
+            for i, (r1, r2) in enumerate(zip(rows1, rows2), 1):
+                f1, _, p1 = r1[x]
+                f2, e2, _ = r2[y]
+                if p1 > e2:  # then p1 >= 1, so f1 >= 0
+                    c = (f1, y)
+                elif f2 >= 0:
+                    c = (x, f2)
+                else:
+                    continue
+                edges.append((b, c, i))
+                yield c
+
+        order = _reach(((0, 0),), lower, budget)
+        index = {v: n for n, v in enumerate(order)}
+        edges = [(index[u], index[v], i) for u, v, i in edges]
+        memo[factors] = edges, None
+        if rows:
+            f, table = {(u, i): v for u, v, i in edges}, [[] for _ in rows1]
+            for n, (x, y) in enumerate(order):
+                for i, (r1, r2, row) in enumerate(zip(rows1, rows2, table), 1):
+                    (_, e1, p1), (_, e2, p2) = r1[x], r2[y]
+                    row.append((f.get((n, i), -1), e1 + max(0, e2 - p1), p2 + max(0, p1 - e2)))
+            memo[factors] = edges, table
+    return memo[factors]
+
+
 def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
-    """Closure of the straight path to ``lam`` under all lowering operators;
-    RuntimeError up front when dim V(lam) (Weyl) is over ``budget`` vertices."""
+    """B(lam): the closure of the straight path to ``lam`` under all lowering
+    operators, vertices in breadth-first order (nodes 1..rank from each).
+
+    It is searched as the top component of B(omega_1)^lam_1 *
+    B(omega_2)^lam_2 * ..., one factor per unit of lam in Littelmann's
+    concatenation order, bracketed in halves (see ``_product``) so that each
+    step reads two factors.  On (b_1, b_2) the concatenation rule (f_i acts
+    on the last factor k of least H_k - eps_i(b_k), H_k the height where it
+    starts) becomes: f_i acts on b_1 if phi_i(b_1) > eps_i(b_2), else on b_2
+    if phi_i(b_2) >= 1.  That component is B(lam) by the isomorphism theorem
+    (Littelmann, Ann. Math. 1995), so its graph and search order are the
+    closure's; a vertex's path is f_i of its parent's along its discovery
+    edge, the first edge that reaches it.  For |lam| <= 1 the closure itself
+    is run.  RuntimeError up front when dim V(lam) (Weyl) is over ``budget``
+    vertices."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     rho = (1,) * rs.rank  # prod (lam + rho)(h_alpha) / rho(h_alpha) = dim V(lam)
     if prod(rs.pairings([c + 1 for c in lam])) > budget * prod(rs.pairings(rho)):
         raise RuntimeError("vertex budget exceeded")
-    top = Path.straight(lam)
-    edges = []
-
-    def lower(u):
-        for i in range(1, rs.rank + 1):
-            v = root_operator_f(rs, i, u)
-            if v is not None:
-                edges.append((u, v, i))
-                yield v
-
-    order = _reach((top,), lower, budget)
-    return CrystalGraph(tuple(order), tuple(edges), top)
+    factors = tuple(j for j, c in enumerate(lam, 1) for _ in range(c))
+    if len(factors) <= 1:  # the closure of omega_j, or of omega_0 = 0: one vertex
+        return _fundamental(rs, sum(factors), budget)[0]
+    edges = _product(rs, factors, budget, {}, rows=False)[0]
+    paths = [Path.straight(lam)]
+    for u, v, i in edges:
+        if v == len(paths):  # the discovery edge of v
+            paths.append(root_operator_f(rs, i, paths[u]))
+    return CrystalGraph(tuple(paths), tuple((paths[u], paths[v], i) for u, v, i in edges),
+                        paths[0])
 
 
 def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph, *,

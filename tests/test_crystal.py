@@ -12,7 +12,7 @@ from demazure.crystal import (CrystalGraph, Path, build_crystal, component_of,
                               filter_arrows, phi, root_operator_e,
                               root_operator_f, tensor_crystal, to_dot,
                               weight_graph)
-from demazure.rootdata import root_system
+from demazure.rootdata import RootSystem, root_system
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -381,14 +381,19 @@ def test_build_crystal_budget_boundary():
 
 @pytest.mark.parametrize("family,rank,lam", [
     ("A", 2, (2, 1)), ("G", 2, (1, 1)), ("B", 3, (0, 1, 1)), ("C", 3, (1, 0, 1)),
-    ("D", 4, (0, 1, 0, 0)), ("F", 4, (0, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0))])
+    ("D", 4, (0, 1, 0, 0)), ("F", 4, (0, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
+    ("A", 2, (3, 0)), ("B", 3, (0, 2, 1)), ("D", 4, (1, 1, 1, 1)),
+    ("E", 6, (1, 0, 0, 0, 0, 1))])
 def test_build_crystal_budget_is_the_dimension(family, rank, lam):
     # the size check reads Weyl's dimension formula; it must equal the size
-    # the closure reaches, so the boundary sits exactly at dim V(lam)
-    rs = root_system(family, rank)
-    size = len(build_crystal(rs, lam).vertices)
-    assert size == finite_character(rs, lam).dimension()
+    # the search reaches, so the boundary sits exactly at dim V(lam).  A
+    # fresh root system has no fundamental crystals yet, so they are built
+    # under the same budget
+    rs = RootSystem(family, rank)
+    size = finite_character(rs, lam).dimension()
     assert len(build_crystal(rs, lam, budget=size).vertices) == size
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        build_crystal(RootSystem(family, rank), lam, budget=size - 1)
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
         build_crystal(rs, lam, budget=size - 1)
 
