@@ -7,23 +7,33 @@ that, r-admissibility runs two counting conditions on the per-root value
 profiles; condition A compares the remainder class of the largest value
 against the weighted multiplicities below it, condition B bounds how far
 the values may spread when mu itself pairs large.  ``_conditions`` states
-both once, on the profile's own values, which sum to |mu(h_alpha)|.
+both once, on a profile's largest value, least value and sum |mu(h_alpha)|.
 
-Every test makes one pass over a split: the split is checked once, each
-part is paired once with every positive root (``rs.pairings``), and the
-sign witnesses, then the (root, sign) profiles when there is no witness,
-read those pairings by root position.
+Every test makes one pass over a split (``_pass``): each part's pairings
+come from the memo ``_part_pairings``, which keeps the last 2^12 parts
+(``_PAIRINGS_BOUND``), and each root's column of part pairings is read by
+its sum, min and max alone, which decide its witnesses and both conditions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import neg
 
 from .rootdata import Root, RootSystem
-from .weights import _signed_positions, finite_dominance
+from .weights import finite_dominance
 
 _CANDIDATE_BUDGET = 10**5  # candidates in a row a search for a 1-admissible split may reject
+_PAIRINGS_BOUND = 1 << 12  # (root system, part) pairs whose pairings _part_pairings keeps
+
+
+def _fill(cls, **fields):
+    """cls(**fields) for a frozen dataclass, without its __init__: fields is its __dict__."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -97,43 +107,43 @@ class AdmissibilityReport:
         return tuple(rec for rec in self.records if not rec.ok)
 
 
-def _check_split(rs: RootSystem, mu, split) -> None:
+@lru_cache(maxsize=_PAIRINGS_BOUND, typed=True)
+def _part_pairings(rs: RootSystem, *part) -> tuple[int, ...]:
+    """rs.pairings(part) for the last _PAIRINGS_BOUND (rs, part)s; typed: 1.0 is not 1."""
+    return rs.pairings(rs.check_weight(part))
+
+
+def _pass(rs: RootSystem, mu, split):
+    """Check the split and walk the roots once.  Returns mu, the parts, the
+    sign witnesses (root, part index, pairing) and, when there are none,
+    (j, values, sign, d, x, lo, total) per (root, sign) of signed_roots(rs,
+    mu) at root position j: the values are the column of part pairings for
+    '-' and its negatives for '+', with max x, min lo and sum total."""
     if len(split) < 1:
         raise ValueError("split needs at least one part")
-    for part in split:
-        rs.check_weight(part)
-    total = tuple(sum(cs) for cs in zip(*split))
-    if total != rs.check_weight(mu):
-        raise ValueError(f"split sums to {total}, not {tuple(mu)}")
+    rows = [_part_pairings(rs, *part) for part in split]
+    parts, sums = tuple(map(tuple, split)), tuple(map(sum, zip(*split)))
+    if sums != (mu := rs.check_weight(mu)):
+        raise ValueError(f"split sums to {sums}, not {mu}")
+    columns, signed, d_at = tuple(zip(*rows)), [], rs._d_at
+    for j, column in enumerate(columns):
+        pair, lo, hi = sum(column), min(column), max(column)
+        if pair >= 0 > lo or pair <= 0 < hi:  # a part pairs nonzero, to zero or against mu
+            return mu, parts, tuple((root, idx, v) for root, col in zip(rs.positive_roots, columns)
+                                    for idx, v in enumerate(col) if v and sum(col) * v <= 0), ()
+        if pair <= 0:
+            signed.append((j, tuple(map(neg, column)), "+", d_at[j], -lo, -hi, -pair))
+        if pair >= 0:
+            signed.append((j, column, "-", d_at[j], hi, lo, pair))
+    return mu, parts, (), signed
 
 
-def _profile(root: Root, sign: str, d: int, pairs) -> RootProfile:
-    """The profile of (root, sign) from the parts' pairings with root."""
-    values = tuple(-v for v in pairs) if sign == "+" else tuple(pairs)
-    return RootProfile(root, sign, d, values)
-
-
-def _split_pass(rs: RootSystem, mu, split):
-    """Check the split and pair each part once.  Returns the sign witnesses
-    (root, part index, pairing) and, only when there are none, the
-    RootProfile of every (root, sign) of signed_roots(rs, mu)."""
-    _check_split(rs, mu, split)
-    pairs, roots = rs.pairings(mu), rs.positive_roots
-    columns = tuple(zip(*(rs.pairings(p) for p in split)))
-    # a witness pairs nonzero, and to zero or the opposite sign of mu
-    witnesses = tuple((root, idx, v) for root, pair, column in zip(roots, pairs, columns)
-                      for idx, v in enumerate(column) if v and pair * v <= 0)
-    return witnesses, () if witnesses else tuple(
-        _profile(roots[j], sign, rs._d_at[j], columns[j])
-        for j, sign, _ in _signed_positions(pairs))
-
-
-def _conditions(prof: RootProfile, k: int, r: int) -> tuple:
-    """(condition A, condition B) of the profile at r.  The parts sum to mu, so
-    the values sum to |mu(h_alpha)|, and B's x >= t + d*r is min >= d*r."""
-    dr = prof.d * r
-    return prof.m(r) * k > prof.weighted_count(), (
-        min(prof.values) >= dr if prof.sign == "-" and sum(prof.values) > k * dr else None)
+def _conditions(k: int, r: int, sign: str, d: int, x: int, lo: int, total: int) -> tuple:
+    """(condition A, condition B) at r of a (root, sign) profile of k values with max x,
+    min lo and sum total = |mu(h_alpha)|.  A, m(r) * k > k*x - total, is total > k*d*r*q
+    as m(r) = x - q*d*r, q = (x - 1) // (d*r); B, x >= t + d*r, is lo >= d*r."""
+    dr = d * r
+    return total > k * dr * ((x - 1) // dr), (lo >= dr if sign == "-" and total > k * dr else None)
 
 
 def is_preadmissible(rs: RootSystem, mu, split):
@@ -141,12 +151,13 @@ def is_preadmissible(rs: RootSystem, mu, split):
 
     Returns (flag, witnesses); a witness is (root, part index, pairing).
     """
-    witnesses, _ = _split_pass(rs, mu, split)
+    witnesses = _pass(rs, mu, split)[2]
     return not witnesses, witnesses
 
 
 def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
-    return _profile(root, sign, rs.d(root), [rs.pairing(part, root) for part in split])
+    pairs = tuple(rs.pairing(part, root) for part in split)
+    return RootProfile(root, sign, rs.d(root), tuple(map(neg, pairs)) if sign == "+" else pairs)
 
 
 def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
@@ -157,11 +168,14 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    witnesses, profiles = _split_pass(rs, mu, split)
-    records = tuple(ConditionRecord(prof, *_conditions(prof, len(split), r))
-                    for prof in profiles)
-    return AdmissibilityReport(tuple(mu), tuple(tuple(p) for p in split), r,
-                               not witnesses, witnesses, records)
+    mu, parts, witnesses, signed = _pass(rs, mu, split)
+    k, roots, records = len(parts), rs.positive_roots, []
+    for j, values, sign, d, x, lo, total in signed:
+        a, b = _conditions(k, r, sign, d, x, lo, total)
+        prof = _fill(RootProfile, root=roots[j], sign=sign, d=d, values=values)
+        records.append(_fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b))
+    return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
+                 sign_witnesses=witnesses, records=tuple(records))
 
 
 def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
@@ -176,20 +190,19 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     <= d*r; while q = (x - 1) // (d*r) stays fixed, m(r) = x - q*d*r falls,
     so A fails to the end of that block; B fails until k*d*r >= sum(values).
     """
-    witnesses, profiles = _split_pass(rs, mu, split)
+    _, parts, witnesses, signed = _pass(rs, mu, split)
     if witnesses:
         return None
-    k, r = len(split), 1
+    k, r = len(parts), 1
     while r_max is None or r <= r_max:
         skip = r
-        for prof in profiles:
-            a, b = _conditions(prof, k, r)
+        for _, _, sign, d, x, lo, total in signed:
+            a, b = _conditions(k, r, sign, d, x, lo, total)
             if not a:  # then q >= 1, as the values are >= 0
-                d, x = prof.d, prof.x
                 q = (x - 1) // (d * r)
-                skip = max(skip, prof.weighted_count() // (d * k) + 1, (x - 1) // (d * q) + 1)
+                skip = max(skip, (k * x - total) // (d * k) + 1, (x - 1) // (d * q) + 1)
             if b is False:
-                skip = max(skip, -(-sum(prof.values) // (k * prof.d)))
+                skip = max(skip, -(-total // (k * d)))
         if skip == r:
             return r
         r = skip

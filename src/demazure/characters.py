@@ -44,7 +44,7 @@ from math import prod
 from operator import add, ge, lshift, mul, sub
 from threading import Lock
 
-from .admissibility import AdmissibilityReport, _check_split, is_r_admissible
+from .admissibility import AdmissibilityReport, _pass, is_r_admissible
 from .rootdata import RootSystem
 from .weights import AffineWeight, _walk, dominance_algorithm
 
@@ -416,7 +416,7 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
     elif (report.mu, report.split, report.r) != (mu, split, r):
         raise ValueError("report is for another mu, split or r")
     else:
-        _check_split(rs, mu, split)
+        _pass(rs, mu, split)
     n, level = rs.rank, r * len(split)
     flat = _flat(rs, mu, level)
     lhs = GradedCharacter._adopt({(flat[j:j + n], level, flat[j + n]): flat[j + n + 1]

@@ -285,7 +285,8 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
     closure's; a vertex's path is f_i of its parent's along its discovery
     edge, the first edge that reaches it.  For |lam| <= 1 the closure itself
     is run.  RuntimeError up front when dim V(lam) (Weyl) is over ``budget``
-    vertices."""
+    vertices: a count, not a memory bound (A2 (99, 99) is exactly 10^6 vertices,
+    and its build runs out of a 512 MB address-space cap)."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")

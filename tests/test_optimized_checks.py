@@ -50,6 +50,12 @@ def candidate_check():
     finally:
         adm._CANDIDATE_BUDGET = budget
 
+def list_parts_check():
+    want = adm.is_r_admissible(A2, (1, -2), ((0, -1), (1, -1)), 1)
+    got = adm.is_r_admissible(A2, [1, -2], [[0, -1], [1, -1]], 1)
+    if got != want or repr(got) != repr(want):
+        raise RuntimeError("list parts give another report")
+
 def budget_check():
     budget, ch._TERM_BUDGET = ch._TERM_BUDGET, 0
     try:
@@ -88,6 +94,8 @@ CHECKS = {
     "tensor-length": lambda: GC.from_weight((1, 0), 1).tensor(GC.from_weight((1,), 1)),
     "tensor-entry": lambda: GC({((Fraction(1, 2),), 1, 0): 1}).tensor(GC.from_weight((1,), 1)),
     "candidate-budget": candidate_check,
+    "admissible-length": lambda: adm.is_r_admissible(A2, (1, 0), ((1, 0), (0,)), 1),
+    "admissible-lists": list_parts_check,
     # D_1 on (10^6) at level 10^6 would emit 10^6 + 1 terms in one application
     "operator-budget": lambda: ch.demazure_character(A1, (-10**6,), 10**6),
     "affine-node": lambda: affine_pairing(A2, AffineWeight((1, -2), 2, 0), -1),
@@ -130,6 +138,7 @@ def test_invariants_raise_under_python_O():
         "negative-coefficient": "RuntimeError",
         "enumerate-length": "ValueError", "tensor-length": "ValueError",
         "tensor-entry": "ValueError", "candidate-budget": "RuntimeError",
+        "admissible-length": "ValueError", "admissible-lists": "none",
         "operator-budget": "RuntimeError",
         "affine-node": "ValueError", "operator-rank": "ValueError",
         "operator-level": "ValueError", "operator-coordinate": "ValueError",
