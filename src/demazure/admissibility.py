@@ -9,10 +9,12 @@ against the weighted multiplicities below it, condition B bounds how far
 the values may spread when mu itself pairs large.  ``_conditions`` states
 both once, on a profile's largest value, least value and sum |mu(h_alpha)|.
 
-Every test makes one pass over a split (``_pass``): each part's pairings
-come from the memo ``_part_pairings``, which keeps the last 2^12 parts
-(``_PAIRINGS_BOUND``), and each root's column of part pairings is read by
-its sum, min and max alone, which decide its witnesses and both conditions.
+``is_preadmissible``, ``is_r_admissible`` and ``minimal_r`` make one pass over
+a split (``_pass``): part pairings come from the memo ``_part_pairings`` (the
+last 2^12 parts, ``_PAIRINGS_BOUND``), and each root's column of them is read
+by its sum, min and max alone, which decide its witnesses and both conditions.
+A report keeps its verdict, which stops at the first failing (root, sign), and
+its root system; it builds its records, in a second pass, when first read.
 """
 
 from __future__ import annotations
@@ -94,12 +96,26 @@ class AdmissibilityReport:
     sign_witnesses: tuple  # (root, part index, part pairing) breaking inheritance
     records: tuple[ConditionRecord, ...]
 
+    def __getattr__(self, name):  # an is_r_admissible report's records: one tuple for all
+        if name != "records" or "_rs" not in (kept := vars(self)):
+            raise AttributeError(name)
+        _, parts, _, signed = _pass(rs := kept["_rs"], self.mu, self.split)
+        records = []
+        for j, column, sign, d, x, lo, total in signed:
+            a, b = _conditions(len(parts), self.r, sign, d, x, lo, total)
+            prof = _fill(RootProfile, root=rs.positive_roots[j], sign=sign, d=d,
+                         values=column if sign == "-" else tuple(map(neg, column)))
+            records.append(_fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b))
+        return kept.setdefault("records", tuple(records))
+
     @property
     def k(self) -> int:
         return len(self.split)
 
     @property
     def admissible(self) -> bool:
+        if (verdict := vars(self).get("_admissible")) is not None:
+            return verdict
         return self.preadmissible and all(rec.ok for rec in self.records)
 
     @property
@@ -113,12 +129,15 @@ def _part_pairings(rs: RootSystem, *part) -> tuple[int, ...]:
     return rs.pairings(rs.check_weight(part))
 
 
-def _pass(rs: RootSystem, mu, split):
-    """Check the split and walk the roots once.  Returns mu, the parts, the
-    sign witnesses (root, part index, pairing) and, when there are none,
-    (j, values, sign, d, x, lo, total) per (root, sign) of signed_roots(rs,
-    mu) at root position j: the values are the column of part pairings for
-    '-' and its negatives for '+', with max x, min lo and sum total."""
+def _pass(rs: RootSystem, mu, split, r=1):
+    """Check r (an int >= 1) and the split, and walk the roots once.  Returns
+    mu, the parts, the sign witnesses (root, part index, pairing) and, when
+    there are none, (j, column, sign, d, x, lo, total) per (root, sign) of
+    signed_roots(rs, mu) at root position j: the profile's values are the
+    column of part pairings for '-' and its negatives for '+', with max x,
+    min lo and sum total."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError("r must be an int >= 1, not %r" % (r,))
     if len(split) < 1:
         raise ValueError("split needs at least one part")
     rows = [_part_pairings(rs, *part) for part in split]
@@ -132,7 +151,7 @@ def _pass(rs: RootSystem, mu, split):
             return mu, parts, tuple((root, idx, v) for root, col in zip(rs.positive_roots, columns)
                                     for idx, v in enumerate(col) if v and sum(col) * v <= 0), ()
         if pair <= 0:
-            signed.append((j, tuple(map(neg, column)), "+", d_at[j], -lo, -hi, -pair))
+            signed.append((j, column, "+", d_at[j], -lo, -hi, -pair))
         if pair >= 0:
             signed.append((j, column, "-", d_at[j], hi, lo, pair))
     return mu, parts, (), signed
@@ -166,16 +185,12 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     Condition A (both signs): m(r) * k > sum_j j * counts[j].
     Condition B (roots with mu(h_alpha) > k*d*r only): x >= t + d*r.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    mu, parts, witnesses, signed = _pass(rs, mu, split)
-    k, roots, records = len(parts), rs.positive_roots, []
-    for j, values, sign, d, x, lo, total in signed:
-        a, b = _conditions(k, r, sign, d, x, lo, total)
-        prof = _fill(RootProfile, root=roots[j], sign=sign, d=d, values=values)
-        records.append(_fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b))
+    mu, parts, witnesses, signed = _pass(rs, mu, split, r)
+    k = len(parts)
+    ok = not witnesses and all(False not in _conditions(k, r, sign, d, x, lo, total)
+                               for _, _, sign, d, x, lo, total in signed)
     return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
-                 sign_witnesses=witnesses, records=tuple(records))
+                 sign_witnesses=witnesses, _rs=rs, _admissible=ok)
 
 
 def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):

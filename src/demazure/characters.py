@@ -416,7 +416,9 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
     elif (report.mu, report.split, report.r) != (mu, split, r):
         raise ValueError("report is for another mu, split or r")
     else:
-        _pass(rs, mu, split)
+        _pass(rs, mu, split, r)
+        if vars(report).get("_rs", rs).positive_roots != rs.positive_roots:
+            raise ValueError("report is for another root system")
     n, level = rs.rank, r * len(split)
     flat = _flat(rs, mu, level)
     lhs = GradedCharacter._adopt({(flat[j:j + n], level, flat[j + n]): flat[j + n + 1]

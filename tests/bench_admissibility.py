@@ -10,7 +10,8 @@ every weight of the box (coordinates within 2 for A3 and G2, within 1 for
 B3 and C3), each candidate split into 1, 2 and 3 parts, at r = 1 and 2.
 It times the median call, the item in the middle once the universe is
 sorted by the number of records a report carries (then by k, mu, split and
-r), with the part memo warm.
+r), with the part memo warm: a fresh report whose verdict alone is read
+(``admissible``), and one whose records are read (``records``).
 """
 
 import itertools
@@ -36,10 +37,11 @@ def median_item(name):
     return rs, *items[len(items) // 2]
 
 
+@pytest.mark.parametrize("read", ("admissible", "records"))
 @pytest.mark.parametrize("check", (admissibility.is_r_admissible, reference.is_r_admissible),
                          ids=("one-pass", "reference"))
 @pytest.mark.parametrize("name", BOXES)
-def test_median_call(benchmark, name, check):
+def test_median_call(benchmark, name, check, read):
     args = median_item(name)
     assert check(*args) == reference.is_r_admissible(*args)  # warms the part memo
-    benchmark(check, *args)
+    benchmark(lambda: getattr(check(*args), read))

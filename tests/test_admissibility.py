@@ -39,6 +39,13 @@ def test_split_sum_validation():
         is_r_admissible(C2, (2, 1), ((2, 1),), 0)
 
 
+@pytest.mark.parametrize("r", (1.5, 2.0, True, False, "1"))
+def test_r_must_be_an_int(r):
+    """1.5 once passed as a 1-admissible split, and True as r = 1."""
+    with pytest.raises(ValueError, match="r must be an int >= 1"):
+        is_r_admissible(C2, (2, 1), ((1, 1), (1, 0)), r)
+
+
 def test_root_profile_c2_example():
     split = ((1, 1), (1, 0))
     prof = root_profile(C2, split, Root((1, 1)), "-")

@@ -5,6 +5,8 @@ certificates far from zero and with failures, the memo's safety (fresh
 objects, the term bound, budget errors), a guard that a repeated
 certificate applies no operator, and the ``report=`` keyword."""
 
+import copy
+import pickle
 import random
 from collections import OrderedDict
 
@@ -22,6 +24,7 @@ A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 C2 = root_system("C", 2)
 G2 = root_system("G", 2)
+B2 = root_system("B", 2)
 
 
 @pytest.fixture(autouse=True)
@@ -208,6 +211,32 @@ def test_report_is_reused_and_checked():
     bad = AdmissibilityReport((2, 1), ((1, 1), (1, 1)), 2, True, (), ())
     with pytest.raises(ValueError, match="split sums to"):
         embedding_certificate(C2, mu, ((1, 1), (1, 1)), 2, report=bad)
+
+
+def test_report_of_another_root_system_is_refused():
+    """B2 finds the split 1-admissible and C2 does not: B2's report, read or
+    not, copied or not, gives a C2 certificate no verdict."""
+    mu, split = (2, 1), ((1, 1), (1, 0))
+    theirs = is_r_admissible(B2, mu, split, 1)
+    assert theirs.admissible and not is_r_admissible(C2, mu, split, 1).admissible
+    for report in (theirs, copy.deepcopy(theirs), pickle.loads(pickle.dumps(theirs))):
+        with pytest.raises(ValueError, match="report is for another root system"):
+            embedding_certificate(C2, mu, split, 1, report=report)
+        assert report.records and not embedding_certificate(B2, mu, split, 1, report=report).failures
+        with pytest.raises(ValueError, match="report is for another root system"):
+            embedding_certificate(C2, mu, split, 1, report=report)
+    assert not embedding_certificate(C2, mu, split, 1, report=copy.copy(
+        is_r_admissible(C2, mu, split, 1))).split_admissible
+
+
+@pytest.mark.parametrize("r", (1.5, 2.0, True))
+def test_r_must_be_an_int(r):
+    """Also with a report at the int equal to r, which the mu, split and r
+    comparison alone lets through."""
+    mu, split = (2, 1), ((1, 1), (1, 0))
+    for report in (None, is_r_admissible(C2, mu, split, int(r))) if r == int(r) else (None,):
+        with pytest.raises(ValueError, match="r must be an int >= 1"):
+            embedding_certificate(C2, mu, split, r, report=report)
 
 
 def test_embedding_grid_checks_each_candidate_once(monkeypatch):
