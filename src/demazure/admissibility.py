@@ -31,6 +31,12 @@ _CANDIDATE_BUDGET = 10**5  # candidates in a row a search for a 1-admissible spl
 _PAIRINGS_BOUND = 1 << 12  # (root system, part) pairs whose pairings _part_pairings keeps
 
 
+def _at_least_1(name, value):
+    """ValueError unless value is an int >= 1: of type int itself, so not a bool or a float."""
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be an int >= 1, not %r" % (name, value))
+
+
 def _fill(cls, **fields):
     """cls(**fields) for a frozen dataclass, without its __init__: fields is its __dict__."""
     obj = object.__new__(cls)
@@ -67,8 +73,7 @@ class RootProfile:
         return tuple(self.values.count(x - j) for j in range(self.t + 1))
 
     def m(self, r: int) -> int:
-        if r < 1:
-            raise ValueError("r must be >= 1")
+        _at_least_1("r", r)
         return (self.x - 1) % (self.d * r) + 1
 
     def weighted_count(self) -> int:
@@ -136,8 +141,7 @@ def _pass(rs: RootSystem, mu, split, r=1):
     signed_roots(rs, mu) at root position j: the profile's values are the
     column of part pairings for '-' and its negatives for '+', with max x,
     min lo and sum total."""
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError("r must be an int >= 1, not %r" % (r,))
+    _at_least_1("r", r)
     if len(split) < 1:
         raise ValueError("split needs at least one part")
     rows = [_part_pairings(rs, *part) for part in split]
@@ -246,8 +250,7 @@ def enumerate_dominant_splits(rs: RootSystem, lam, k: int):
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("enumerate_dominant_splits needs a dominant weight")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _at_least_1("k", k)
 
     def nodes(combo):
         if len(combo) == len(lam):
@@ -297,8 +300,7 @@ def balanced_split(rs: RootSystem, mu, k: int) -> tuple[tuple[int, ...], ...]:
     coordinatewise quotient by k, then hand out the remainder one
     fundamental weight at a time round-robin (the pointer runs on across
     nodes), and pull back."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _at_least_1("k", k)
     lam, word = finite_dominance(rs, mu)
     boxes = [[c // k for c in lam] for _ in range(k)]
     pointer = 0

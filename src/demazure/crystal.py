@@ -204,59 +204,62 @@ def _reach(starts, step, budget=None) -> list:
     return order
 
 
+def _rows(rs, vertices, low=None):
+    """Per node i a row per vertex b: (the number of f_i(b) among the
+    vertices or -1, eps_i(b), phi_i(b)), all three read from the paths;
+    f_i(b), None when phi_i(b) < 1, is low[b][i - 1] if ``low`` is given."""
+    index = {v: n for n, v in enumerate(vertices)}
+    return [[(index.get(root_operator_f(rs, i, v) if low is None else low[v][i - 1], -1)
+              if (p := phi(rs, i, v)) >= 1 else -1, eps(rs, i, v), p)
+             for v in vertices] for i in range(1, rs.rank + 1)]
+
+
+def _pairs(rows1, rows2, starts, budget):
+    """The pair rule on pairs (x, y) of vertex numbers of two factors' rows:
+    f_i acts on x if phi_i(x) > eps_i(y), else on y; an arrow to -1 is dropped.
+    The pairs reachable from ``starts`` in ``_reach``'s order, and the arrows."""
+    arrows = []
+
+    def lower(b):
+        x, y = b
+        for i, (r1, r2) in enumerate(zip(rows1, rows2), 1):
+            (f1, _, p1), (f2, e2, _) = r1[x], r2[y]
+            if (f1 if p1 > e2 else f2) >= 0:
+                c = (f1, y) if p1 > e2 else (x, f2)
+                arrows.append((b, c, i))
+                yield c
+
+    return _reach(starts, lower, budget), arrows
+
+
 def _fundamental(rs, j, budget):
-    """B(omega_j), or B(0) for j = 0, as the closure of the straight path
-    under all lowering operators, and its rows as ``_product`` gives them;
-    memoised on the root system."""
+    """B(omega_j) (B(0) for j = 0), its straight path closed under all f_i,
+    and its rows; memoised on the root system."""
     memo = vars(rs).setdefault("_fundamental_crystals", {})
     if j not in memo:
-        top, edges = Path.straight(int(k == j) for k in range(1, rs.rank + 1)), []
-
-        def lower(u):
-            for i in range(1, rs.rank + 1):
-                if (v := root_operator_f(rs, i, u)) is not None:
-                    edges.append((u, v, i))
-                    yield v
-
-        order = _reach((top,), lower, budget)
-        index = {v: n for n, v in enumerate(order)}
-        f = {(u, i): index[v] for u, v, i in edges}
-        memo[j] = (CrystalGraph(tuple(order), tuple(edges), top),
-                   [[(f.get((v, i), -1), eps(rs, i, v), phi(rs, i, v)) for v in order]
-                    for i in range(1, rs.rank + 1)])
+        nodes, low = range(1, rs.rank + 1), {}  # low[u]: f_1(u), ..., f_rank(u)
+        top = Path.straight(int(k == j) for k in nodes)
+        order = _reach((top,), lambda u: filter(None, low.setdefault(
+            u, [root_operator_f(rs, i, u) for i in nodes])), budget)
+        rows = _rows(rs, order, low)  # its edges are the rows' f_i entries, in vertex order
+        edges = tuple((u, order[f], i) for n, u in enumerate(order)
+                      for i, row in enumerate(rows, 1) if (f := row[n][0]) >= 0)
+        memo[j] = CrystalGraph(tuple(order), edges, top), rows
     return memo[j]
 
 
 def _product(rs, factors, budget, memo, rows=True):
     """The top component of B(omega_j1) * B(omega_j2) * ... for the nodes j
-    in ``factors``, in Littelmann's order: its edges (u, v, i) between the
-    numbers of its vertices in breadth-first order, and (if ``rows``) per
-    node i a row per vertex b: (number of f_i(b) or -1, eps_i(b), phi_i(b)).
-    Two or more factors are searched on pairs (b_1, b_2) of vertices of the
-    components of the two halves; memoised in ``memo``."""
+    in ``factors``, in Littelmann's order, searched by ``_pairs`` on the two
+    halves' components: its edges (u, v, i) between the numbers of its vertices
+    in breadth-first order and (if ``rows``) its rows; memoised in ``memo``."""
     if len(factors) == 1:
         return None, _fundamental(rs, factors[0], budget)[1]
     if factors not in memo:
         half = len(factors) // 2
         rows1, rows2 = (_product(rs, h, budget, memo)[1]
                         for h in (factors[:half], factors[half:]))
-        edges = []
-
-        def lower(b):
-            x, y = b
-            for i, (r1, r2) in enumerate(zip(rows1, rows2), 1):
-                f1, _, p1 = r1[x]
-                f2, e2, _ = r2[y]
-                if p1 > e2:  # then p1 >= 1, so f1 >= 0
-                    c = (f1, y)
-                elif f2 >= 0:
-                    c = (x, f2)
-                else:
-                    continue
-                edges.append((b, c, i))
-                yield c
-
-        order = _reach(((0, 0),), lower, budget)
+        order, edges = _pairs(rows1, rows2, ((0, 0),), budget)
         index = {v: n for n, v in enumerate(order)}
         edges = [(index[u], index[v], i) for u, v, i in edges]
         memo[factors] = edges, None
@@ -277,16 +280,15 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
     It is searched as the top component of B(omega_1)^lam_1 *
     B(omega_2)^lam_2 * ..., one factor per unit of lam in Littelmann's
     concatenation order, bracketed in halves (see ``_product``) so that each
-    step reads two factors.  On (b_1, b_2) the concatenation rule (f_i acts
-    on the last factor k of least H_k - eps_i(b_k), H_k the height where it
-    starts) becomes: f_i acts on b_1 if phi_i(b_1) > eps_i(b_2), else on b_2
-    if phi_i(b_2) >= 1.  That component is B(lam) by the isomorphism theorem
-    (Littelmann, Ann. Math. 1995), so its graph and search order are the
-    closure's; a vertex's path is f_i of its parent's along its discovery
-    edge, the first edge that reaches it.  For |lam| <= 1 the closure itself
-    is run.  RuntimeError up front when dim V(lam) (Weyl) is over ``budget``
-    vertices: a count, not a memory bound (A2 (99, 99) is exactly 10^6 vertices,
-    and its build runs out of a 512 MB address-space cap)."""
+    step reads two factors by the pair rule (``_pairs``), the concatenation
+    rule (f_i acts on the last factor k of least H_k - eps_i(b_k), H_k the
+    height where it starts) on two factors.  That component is B(lam) by the
+    isomorphism theorem (Littelmann, Ann. Math. 1995), so its graph and search
+    order are the closure's; a vertex's path is f_i of its parent's along its
+    discovery edge, the first edge that reaches it.  For |lam| <= 1 the
+    closure itself is run.  RuntimeError up front when dim V(lam) (Weyl) is
+    over ``budget`` vertices: a count, not a memory bound (A2 (99, 99) is
+    exactly 10^6 vertices, and its build runs out of a 512 MB address-space cap)."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
@@ -307,28 +309,25 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
 
 def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph, *,
                    budget=10 ** 6) -> CrystalGraph:
-    """Concatenation model of the tensor product: vertices are pairwise
-    concatenated paths, edges recomputed by the root operators and kept when
-    the target is again a concatenation.  Raises RuntimeError before any
-    concatenation when the product has more than ``budget`` vertices.
-    Factors are in Littelmann's order: u of b1 and v of b2 give the path u*v.
+    """Concatenation model of the tensor product: vertices are the paths u*v,
+    u of b1 outer and v of b2 inner, in Littelmann's order.  The pair rule:
+    on a pair (b_1, b_2), f_i acts on b_1 if phi_i(b_1) > eps_i(b_2), else on
+    b_2, and the arrow is dropped when that f_i is undefined or not a vertex
+    of its factor.  ``build_crystal`` and ``tensor_crystal`` both use it; f_i,
+    eps_i and phi_i come from the paths, not the factors' edges.  RuntimeError
+    before any concatenation when the product has over ``budget`` vertices.
     The order can decide a component (the README's "Conventions" has one)."""
-    if len(b1.vertices) * len(b2.vertices) > budget:
+    n1, n2 = len(b1.vertices), len(b2.vertices)
+    if n1 * n2 > budget:
         raise RuntimeError("vertex budget exceeded")
     verts = [u.concat(v) for u in b1.vertices for v in b2.vertices]
-    vset = set(verts)
-    if len(vset) != len(b1.vertices) * len(b2.vertices):
+    if len(set(verts)) != n1 * n2:
         raise ValueError("distinct pairs of vertices give equal concatenations")
-    edges = []
-    for u in verts:
-        for i in range(1, rs.rank + 1):
-            w = root_operator_f(rs, i, u)
-            if w is not None and w in vset:
-                edges.append((u, w, i))
-    highest = None
-    if b1.highest is not None and b2.highest is not None:
-        highest = b1.highest.concat(b2.highest)
-    return CrystalGraph(tuple(verts), tuple(edges), highest)
+    _, arrows = _pairs(_rows(rs, b1.vertices), _rows(rs, b2.vertices),
+                       itertools.product(range(n1), range(n2)), budget)
+    edges = tuple((verts[x * n2 + y], verts[c * n2 + d], i) for (x, y), (c, d), i in arrows)
+    tops = (b1.highest, b2.highest)
+    return CrystalGraph(tuple(verts), edges, None if None in tops else tops[0].concat(tops[1]))
 
 
 def _edge_maps(b: CrystalGraph):

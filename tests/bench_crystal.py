@@ -9,12 +9,17 @@ A2 (n, n) for n = 2, 4, 8 and 12 shows how the two scale with the number
 of factors (2n) and vertices ((n+1)^3); B3 (0,2,1) and D4 (1,1,1,1), of 720
 and 4,096 vertices, are the heaviest weights of the crystal-check benchmark
 workload.  The fundamental crystals are built once, before the timing.
+
+The tensor timings take ``tensor_crystal`` of two crystals plus
+``component_of`` the top weight, beside ``build_crystal`` of that top weight,
+which finds the same component by the pair search from its top pair alone.
+The factors are built before the timing.
 """
 
 import pytest
 
 import path_closure_reference as reference
-from demazure.crystal import build_crystal
+from demazure.crystal import build_crystal, component_of, tensor_crystal
 from demazure.rootdata import root_system
 
 WEIGHTS = [("A", 2, (n, n)) for n in (2, 4, 8, 12)] + [("B", 3, (0, 2, 1)),
@@ -30,3 +35,27 @@ def test_build_crystal(benchmark, build, family, rank, lam):
     rs = root_system(family, rank)
     assert build_crystal(rs, lam) == reference.build_crystal(rs, lam)
     benchmark(build, rs, lam)
+
+
+PRODUCTS = [("A", 2, (3, 3), (2, 2)), ("B", 3, (0, 1, 1), (1, 0, 1)),
+            ("G", 2, (1, 1), (2, 0)), ("D", 4, (1, 0, 0, 1), (0, 1, 0, 0))]
+
+
+def tensor_component(rs, b1, b2, top):
+    return component_of(tensor_crystal(rs, b1, b2), top)
+
+
+@pytest.mark.parametrize("family,rank,lam,nu", PRODUCTS,
+                         ids=["%s%d-%s*%s" % (f, n, "".join(map(str, lam)), "".join(map(str, nu)))
+                              for f, n, lam, nu in PRODUCTS])
+@pytest.mark.parametrize("how", ("tensor+component", "build_top"))
+def test_tensor_component(benchmark, how, family, rank, lam, nu):
+    rs = root_system(family, rank)
+    top = tuple(a + b for a, b in zip(lam, nu))
+    b1, b2 = build_crystal(rs, lam), build_crystal(rs, nu)
+    component = tensor_component(rs, b1, b2, top)
+    assert len(component.vertices) == len(build_crystal(rs, top).vertices)
+    if how == "build_top":
+        benchmark(build_crystal, rs, top)
+    else:
+        benchmark(tensor_component, rs, b1, b2, top)

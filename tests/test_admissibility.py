@@ -46,6 +46,27 @@ def test_r_must_be_an_int(r):
         is_r_admissible(C2, (2, 1), ((1, 1), (1, 0)), r)
 
 
+@pytest.mark.parametrize("r", (1.5, True, 0))
+def test_profile_m_takes_an_int_r(r):
+    """m(1.5) once gave a float and m(True) acted as m(1)."""
+    prof = root_profile(C2, ((1, 1), (1, 0)), C2.positive_roots[0], "-")
+    with pytest.raises(ValueError, match="r must be an int >= 1, not %r" % (r,)):
+        prof.m(r)
+
+
+@pytest.mark.parametrize("search", [
+    lambda k: balanced_split(C2, (2, 1), k),
+    lambda k: list(enumerate_dominant_splits(C2, (2, 1), k)),
+    lambda k: find_1_admissible(C2, (2, 1), k),
+], ids=["balanced_split", "enumerate_dominant_splits", "find_1_admissible"])
+@pytest.mark.parametrize("k", (True, 2.0, 0))
+def test_split_searches_take_an_int_k(search, k):
+    """k = True once gave the 1-part split ((2, 1),), and balanced_split at
+    k = 2.0 raised TypeError."""
+    with pytest.raises(ValueError, match="k must be an int >= 1, not %r" % (k,)):
+        search(k)
+
+
 def test_root_profile_c2_example():
     split = ((1, 1), (1, 0))
     prof = root_profile(C2, split, Root((1, 1)), "-")

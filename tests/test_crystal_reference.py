@@ -60,15 +60,51 @@ def test_build_crystal_matches_fraction_reference(family, rank, lam):
             assert isinstance(crystal.phi(rs, 1, v), int)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
-                                         ("A", 3)])
-def test_tensor_of_fundamentals_matches_fraction_reference(family, rank):
+def factor(mod, rs, lam, word=None, nodes=None):
+    """B(lam) from ``mod`` (the package or the reference), cut to the word's
+    Demazure subcrystal and to the arrows of ``nodes`` when they are given."""
+    b = mod.build_crystal(rs, lam)
+    if word is not None:
+        b = mod.demazure_subcrystal(rs, b, word, lam)
+    return b if nodes is None else mod.filter_arrows(b, nodes)
+
+
+def fundamentals(rank):
+    units = [(tuple(int(j == i) for j in range(rank)),) for i in range(rank)]
+    return list(itertools.product(units, repeat=2))
+
+
+# (type, rank, products): each product lists its factors as arguments of
+# ``factor``, multiplied left to right, so three factors give (b1 * b2) * b3
+TENSORS = [(f, r, fundamentals(r)) for f, r in [("A", 2), ("B", 2), ("C", 2), ("G", 2),
+                                                 ("A", 3)]] + [
+    ("A", 2, [(((2, 1), (1, 2)), ((1, 1), (2, 1))), (((1, 1), (1,)), ((2, 0), (2, 1)))]),
+    ("B", 2, [(((1, 1), (2, 1)), ((0, 2), (1, 2)))]),
+    ("G", 2, [(((1, 0), (1, 2)), ((1, 0), (2, 1, 2)))]),
+    ("C", 3, [(((0, 1, 1), (3, 2)), ((1, 0, 0), (1,)))]),
+    ("A", 2, [(((2, 1), None, (1,)), ((1, 1),)), (((1, 1),), ((1, 1), (1, 2), (2,)))]),
+    ("B", 2, [(((1, 1), None, (2,)), ((1, 0), (1,)))]),
+    ("A", 2, [(((1, 0),), ((1, 1), (1, 2)), ((0, 1), (2,)))]),
+    ("A", 3, [(((0, 1, 0), (2,)), ((1, 0, 0),), ((0, 0, 1), (3, 2)))]),
+    ("B", 2, [(((0, 1),), ((1, 0), (1,)), ((0, 1), None, (1,)))]),
+]
+TENSOR_IDS = (["%s-%d" % (f, r) for f, r, _ in TENSORS[:5]]
+              + ["A2-demazure", "B2-demazure", "G2-demazure", "C3-demazure", "A2-filtered",
+                 "B2-filtered", "A2-nested", "A3-nested", "B2-nested-filtered"])
+
+
+@pytest.mark.parametrize("family,rank,products", TENSORS, ids=TENSOR_IDS)
+def test_tensor_of_fundamentals_matches_fraction_reference(family, rank, products):
+    """tensor_crystal against the concatenation loop of the reference: every
+    pair of fundamental crystals, then Demazure-subcrystal factors, a
+    ``filter_arrows`` factor (whose missing arrows the product still has, as
+    the paths decide) and nested three-factor products."""
     rs = root_system(family, rank)
-    fundamentals = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    for a, b in itertools.product(fundamentals, repeat=2):
-        new = crystal.tensor_crystal(rs, crystal.build_crystal(rs, a),
-                                     crystal.build_crystal(rs, b))
-        old = ref.tensor_crystal(rs, ref.build_crystal(rs, a), ref.build_crystal(rs, b))
+    for factors in products:
+        new, old = factor(crystal, rs, *factors[0]), factor(ref, rs, *factors[0])
+        for args in factors[1:]:
+            new = crystal.tensor_crystal(rs, new, factor(crystal, rs, *args))
+            old = ref.tensor_crystal(rs, old, factor(ref, rs, *args))
         same_graph(new, old)
         assert new.highest.steps == old.highest.steps
 
