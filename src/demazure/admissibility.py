@@ -14,7 +14,8 @@ a split (``_pass``): part pairings come from the memo ``_part_pairings`` (the
 last 2^12 parts, ``_PAIRINGS_BOUND``), and each root's column of them is read
 by its sum, min and max alone, which decide its witnesses and both conditions.
 A report keeps its verdict, which stops at the first failing (root, sign), and
-its root system; it builds its records, in a second pass, when first read.
+its root system; it builds its records, in a second pass, when first read.  A
+caller that reads them at once takes ``_read_report``, which builds them in its pass.
 """
 
 from __future__ import annotations
@@ -104,14 +105,8 @@ class AdmissibilityReport:
     def __getattr__(self, name):  # an is_r_admissible report's records: one tuple for all
         if name != "records" or "_rs" not in (kept := vars(self)):
             raise AttributeError(name)
-        _, parts, _, signed = _pass(rs := kept["_rs"], self.mu, self.split)
-        records = []
-        for j, column, sign, d, x, lo, total in signed:
-            a, b = _conditions(len(parts), self.r, sign, d, x, lo, total)
-            prof = _fill(RootProfile, root=rs.positive_roots[j], sign=sign, d=d,
-                         values=column if sign == "-" else tuple(map(neg, column)))
-            records.append(_fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b))
-        return kept.setdefault("records", tuple(records))
+        passed = _pass(rs := kept["_rs"], self.mu, self.split)
+        return kept.setdefault("records", tuple(_records(rs, passed, self.r)))
 
     @property
     def k(self) -> int:
@@ -183,6 +178,15 @@ def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
     return RootProfile(root, sign, rs.d(root), tuple(map(neg, pairs)) if sign == "+" else pairs)
 
 
+def _records(rs: RootSystem, passed, r: int):
+    """The ConditionRecords at r of ``_pass``'s output ``passed``, one per (root, sign)."""
+    for j, column, sign, d, x, lo, total in passed[3]:
+        a, b = _conditions(len(passed[1]), r, sign, d, x, lo, total)
+        prof = _fill(RootProfile, root=rs.positive_roots[j], sign=sign, d=d,
+                     values=column if sign == "-" else tuple(map(neg, column)))
+        yield _fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b)
+
+
 def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     """Run the admissibility conditions at spread parameter r >= 1.
 
@@ -195,6 +199,15 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
                                for _, _, sign, d, x, lo, total in signed)
     return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
                  sign_witnesses=witnesses, _rs=rs, _admissible=ok)
+
+
+def _read_report(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
+    """The report of ``is_r_admissible``, its records built from the same pass."""
+    mu, parts, witnesses, _ = passed = _pass(rs, mu, split, r)
+    records = tuple(_records(rs, passed, r))
+    ok = not witnesses and all(rec.ok for rec in records)
+    return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
+                 sign_witnesses=witnesses, _rs=rs, _admissible=ok, records=records)
 
 
 def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
@@ -344,7 +357,7 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
         for k in range(1, k_bound + 1):
             # dominant parts of a dominant lam are preadmissible, so the
             # report carries every profile
-            rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
+            rep = _read_report(rs, lam, balanced_split(rs, lam, k), 1)
             profs = [rec.profile for rec in rep.records]
             t_max = max(p.t for p in profs)
             escape = any(p.t == 2 and p.m(1) == 1 for p in profs)

@@ -263,7 +263,9 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     gives the dimensions.  Records run by grade, then in peeling order: the
     first unpeeled lam in descending ``(finite, level)`` order that none lies
     above (o - lam a nonzero Z>=0 sum of simple roots on the nodes, one level).
-    A failing slice is peeled, subtracting irreducibles, to say where."""
+    A finite weight's mirrors s_i(mu), balance step and walk's end are found when it
+    first turns up, for its terms in every grade and level, and kept for the call
+    only.  A failing slice is peeled, subtracting irreducibles, to say where."""
     nodes = tuple(sorted({rs.check_node(i) for i in nodes}))
     # column i: N times the i-th simple-root coordinate of each fundamental weight
     rows = [rs._scaled_coordinates(tuple(int(i == j) for i in range(rs.rank)))
@@ -274,34 +276,41 @@ def g0_branch(rs: RootSystem, char: GradedCharacter, nodes):
     levi = [not any(c for c, on in zip(root.coords, rho) if not on)  # roots on the nodes
             for root in rs.positive_roots]
     rho_dim = prod(compress(rs.pairings(rho), levi))
-    records, slices = [], {}
+    records, slices, known = [], {}, {}
     for (fin, lvl, grade), c in char.terms.items():
         fin = fin if len(fin) == rs.rank else rs.check_weight(fin)  # raises ValueError
         slices.setdefault(grade, {})[(fin, lvl)] = c
     for grade in sorted(slices):
         terms, mults, invariant, balance = slices[grade], {}, True, 0
         for (fin, lvl), m in terms.items():
-            for i, alpha in alphas:  # s_i pairs the terms of pairings p > 0 and -p
-                if (p := fin[i]) > 0:
-                    balance += 1
-                    invariant &= terms.get((tuple([a - p * b for a, b in zip(fin, alpha)]),
-                                            lvl)) == m
-                elif p:
-                    balance -= 1
-            # not weights._walk, which cannot stop at a zero pairing: through it, branching
-            # the 75 module-sweep characters took 0.18-0.27 s a pass against 0.14-0.18 s
-            v = list(map(add, fin, rho))
-            while True:  # into the nodes' dominant chamber; a zero pairing: singular
-                for i, alpha in alphas:
-                    if (p := v[i]) <= 0:
+            if (seen := known.get(fin)) is None:
+                step, mirrors = 0, []
+                for i, alpha in alphas:  # s_i pairs the terms of pairings p > 0 and -p
+                    if (p := fin[i]) > 0:
+                        step += 1
+                        mirrors.append(tuple([a - p * b for a, b in zip(fin, alpha)]))
+                    elif p:
+                        step -= 1
+                # not weights._walk, which neither stops at a zero pairing nor keeps a sign
+                v, sign, end = list(map(add, fin, rho)), 1, None
+                while True:  # into the nodes' dominant chamber; a zero pairing: singular
+                    for i, alpha in alphas:
+                        if (p := v[i]) <= 0:
+                            break
+                    else:
+                        end = tuple(map(sub, v, rho)), sign
                         break
-                else:
-                    key = (tuple(map(sub, v, rho)), lvl)
-                    mults[key] = mults.get(key, 0) + m
-                    break
-                if not p:
-                    break
-                v, m = [a - p * b for a, b in zip(v, alpha)], -m
+                    if not p:
+                        break
+                    v, sign = [a - p * b for a, b in zip(v, alpha)], -sign
+                seen = known[fin] = step, mirrors, end
+            step, mirrors, end = seen
+            balance += step
+            for f2 in mirrors:
+                invariant &= terms.get((f2, lvl)) == m
+            if end:
+                key = (end[0], lvl)
+                mults[key] = mults.get(key, 0) + end[1] * m
         if not invariant or balance or any(c < 0 for c in mults.values()):
             for fin, lvl in _peel_order(terms, nodes, cols, norm):
                 if (mult := terms[(fin, lvl)]) < 0:

@@ -121,15 +121,20 @@ def _ratio(num, den):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def phi(rs: RootSystem, i: int, path: Path):
-    """Length of the f_i string below the path: h(1) - min h, an int unless
-    h is off the integers (never on a crystal vertex), then a Fraction."""
+def _strings(rs, i, path):
+    """(eps_i, phi_i) from one pass over h: -min h and h(1) - min h, ints unless
+    h is off the integers (never on a crystal vertex), then Fractions."""
     h = _heights(rs, i, path)
-    return _ratio(h[-1] - min(h), path.den)
+    return _ratio(-(m := min(h)), path.den), _ratio(h[-1] - m, path.den)
+
+
+def phi(rs: RootSystem, i: int, path: Path):
+    """Length of the f_i string below the path (``_strings``)."""
+    return _strings(rs, i, path)[1]
 
 def eps(rs: RootSystem, i: int, path: Path):
-    """Length of the e_i string above the path: -min h, typed as in phi."""
-    return _ratio(-min(_heights(rs, i, path)), path.den)
+    """Length of the e_i string above the path (``_strings``)."""
+    return _strings(rs, i, path)[0]
 
 
 def _reflect(rs, i, d):
@@ -210,8 +215,8 @@ def _rows(rs, vertices, low=None):
     f_i(b), None when phi_i(b) < 1, is low[b][i - 1] if ``low`` is given."""
     index = {v: n for n, v in enumerate(vertices)}
     return [[(index.get(root_operator_f(rs, i, v) if low is None else low[v][i - 1], -1)
-              if (p := phi(rs, i, v)) >= 1 else -1, eps(rs, i, v), p)
-             for v in vertices] for i in range(1, rs.rank + 1)]
+              if s[1] >= 1 else -1, *s)
+             for v in vertices for s in [_strings(rs, i, v)]] for i in range(1, rs.rank + 1)]
 
 
 def _pairs(rows1, rows2, starts, budget):
@@ -402,9 +407,7 @@ def component_of(b: CrystalGraph, weight) -> CrystalGraph:
 
 def filter_arrows(b: CrystalGraph, nodes) -> CrystalGraph:
     nodes = set(nodes)
-    return CrystalGraph(b.vertices,
-                        tuple(e for e in b.edges if e[2] in nodes),
-                        b.highest)
+    return CrystalGraph(b.vertices, tuple(e for e in b.edges if e[2] in nodes), b.highest)
 
 
 def weight_graph(b: CrystalGraph):
@@ -447,18 +450,13 @@ def crystal_decomposition(b: CrystalGraph, nodes):
         if len(sources) != 1:
             raise ValueError("component with %d sources" % len(sources))
         wt = sources[0].weight()
-        restricted = tuple(wt[i - 1] for i in nodes)
-        pieces[(restricted, len(comp))] += 1
+        pieces[(tuple(wt[i - 1] for i in nodes), len(comp))] += 1
     return tuple(DecompositionPiece(w, s, c)
                  for (w, s), c in sorted(pieces.items()))
 
 
 def to_dot(b: CrystalGraph) -> str:
     index = {v: pos for pos, v in enumerate(b.vertices)}
-    lines = ["digraph crystal {"]
-    for v, pos in index.items():
-        lines.append('  v%d [label="%s"];' % (pos, str(v.weight())))
-    for u, v, i in b.edges:
-        lines.append('  v%d -> v%d [label="%d"];' % (index[u], index[v], i))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ['  v%d [label="%s"];' % (pos, str(v.weight())) for v, pos in index.items()]
+    lines += ['  v%d -> v%d [label="%d"];' % (index[u], index[v], i) for u, v, i in b.edges]
+    return "\n".join(["digraph crystal {", *lines, "}"]) + "\n"

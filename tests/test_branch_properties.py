@@ -16,10 +16,13 @@ SYSTEMS = [root_system(f, n) for f, n in (("A", 2), ("B", 2), ("G", 2), ("A", 3)
 
 
 @st.composite
-def sums(draw):
+def sums(draw, repeat=False):
     """(rs, nodes, summands): a random node subset and up to four
     (lam, level, grade, c), lam dominant on the nodes with entries <= 2 and
-    c in 0..3; lam is kept small enough for the earlier code to peel."""
+    c in 0..3; lam is kept small enough for the earlier code to peel.  With
+    ``repeat``, the first two distinct lam come back at every grade 0..3 and
+    level 1, 2, each time with a c of its own, so that grade slices and levels
+    share finite weights with different multiplicities."""
     rs = draw(st.sampled_from(SYSTEMS))
     nodes = tuple(i for i in range(1, rs.rank + 1) if draw(st.booleans()))
     summands = []
@@ -29,18 +32,27 @@ def sums(draw):
             lam = tuple(0 if i in nodes else c for i, c in enumerate(lam, 1))
         summands.append((lam, draw(st.integers(1, 3)), draw(st.integers(0, 2)),
                          draw(st.integers(0, 3))))
+    if repeat:
+        summands = [(lam, level, grade, draw(st.integers(0, 3)))
+                    for lam in list(dict.fromkeys(lam for lam, _, _, _ in summands))[:2]
+                    for level in (1, 2) for grade in range(4)]
     return rs, nodes, summands
+
+
+def _sum(rs, nodes, summands):
+    """The character of the summands and its highest weights with their multiplicities."""
+    char, want = GradedCharacter(), {}
+    for lam, level, grade, c in summands:
+        char = char + parabolic_character(rs, lam, nodes, level=level, grade=grade).scale(c)
+        want[(lam, level, grade)] = want.get((lam, level, grade), 0) + c
+    return char, {key: c for key, c in want.items() if c}
 
 
 @settings(max_examples=80, deadline=None)
 @given(sums(), st.data())
 def test_branch_recovers_summands(case, data):
     rs, nodes, summands = case
-    char, want = GradedCharacter(), {}
-    for lam, level, grade, c in summands:
-        char = char + parabolic_character(rs, lam, nodes, level=level, grade=grade).scale(c)
-        want[(lam, level, grade)] = want.get((lam, level, grade), 0) + c
-    want = {key: c for key, c in want.items() if c}
+    char, want = _sum(rs, nodes, summands)
     records = g0_branch(rs, char, nodes)
     assert {(r.finite, r.level, r.grade): r.multiplicity for r in records} == want
     assert len(records) == len(want)
@@ -59,3 +71,25 @@ def test_branch_recovers_summands(case, data):
     grown = char + GradedCharacter({extra: 1})
     assert _outcome(g0_branch, rs, grown, nodes) == _outcome(reference.g0_branch, rs,
                                                              grown, nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sums(repeat=True), st.data())
+def test_branch_of_weights_repeated_across_grades_and_levels(case, data):
+    """One finite weight in several grade slices and levels, with different
+    multiplicities: the records equal the earlier code's; with one weight
+    that is not a highest weight taken out of grade 1 or 2, both fail at
+    that grade with the same ValueError text."""
+    rs, nodes, summands = case
+    char, want = _sum(rs, nodes, summands)
+    records = _outcome(g0_branch, rs, char, nodes)
+    assert records == _outcome(reference.g0_branch, rs, char, nodes)
+    assert {(r.finite, r.level, r.grade): r.multiplicity for r in records} == want
+    middle = sorted(key for key in char.terms if key not in want and key[2] in (1, 2))
+    if middle:
+        key = data.draw(st.sampled_from(middle))
+        broken = char - GradedCharacter({key: 1})
+        failed = _outcome(g0_branch, rs, broken, nodes)
+        assert isinstance(failed, str) and failed.startswith("ValueError")
+        assert "grade %d" % key[2] in failed
+        assert failed == _outcome(reference.g0_branch, rs, broken, nodes)

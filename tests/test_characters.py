@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demazure.admissibility import balanced_split, is_r_admissible
 from demazure.characters import (GradedCharacter, demazure_character,
@@ -15,16 +17,14 @@ A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 B2 = root_system("B", 2)
 C2 = root_system("C", 2)
+G2 = root_system("G", 2)
 
 
-def random_character(rs, rng, *, level=2, allow_negative=True):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        fin = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
-        grade = rng.randint(0, 3)
-        mult = rng.randint(-3, 3) if allow_negative else rng.randint(1, 3)
-        terms[(fin, level, grade)] = mult
-    return GradedCharacter(terms)
+def characters(rs):
+    """One to six terms at level 2: coordinates in -4..4, grades 0..3 and
+    multiplicities in -3..3 (a zero one is dropped)."""
+    term = st.tuples(st.tuples(*[st.integers(-4, 4)] * rs.rank), st.just(2), st.integers(0, 3))
+    return st.dictionaries(term, st.integers(-3, 3), min_size=1, max_size=6).map(GradedCharacter)
 
 
 def test_character_container_basics():
@@ -153,32 +153,44 @@ def test_level_zero_rejected():
         demazure_character(A2, (1, 0), 0)
 
 
-def test_idempotence_on_random_characters():
-    rng = random.Random(11)
-    systems = [A1, A2, C2]
-    for _ in range(200):
-        rs = systems[rng.randrange(3)]
-        c = random_character(rs, rng)
-        i = rng.randint(0, rs.rank)
-        once = demazure_operator(rs, i, c)
-        assert demazure_operator(rs, i, once) == once
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([A1, A2, C2]), st.data())
+def test_idempotence_on_random_characters(rs, data):
+    c, i = data.draw(characters(rs)), data.draw(st.integers(0, rs.rank))
+    once = demazure_operator(rs, i, c)
+    assert demazure_operator(rs, i, once) == once
 
 
-def test_braid_relations_rank_two():
-    rng = random.Random(12)
+def _braid_holds(rs, i, j, m, c):
+    """D_i D_j D_i ... c == D_j D_i D_j ... c, m operators on each side."""
+    sides = []
+    for word in ((i, j) * m, (j, i) * m):
+        out = c
+        for letter in reversed(word[:m]):
+            out = demazure_operator(rs, letter, out)
+        sides.append(out)
+    return sides[0] == sides[1]
 
-    def compose(rs, word, c):
-        for i in reversed(word):
-            c = demazure_operator(rs, i, c)
-        return c
 
-    for _ in range(60):
-        c = random_character(A2, rng)
-        assert compose(A2, (1, 2, 1), c) == compose(A2, (2, 1, 2), c)
-    for rs in (B2, C2):
-        for _ in range(60):
-            c = random_character(rs, rng)
-            assert compose(rs, (1, 2, 1, 2), c) == compose(rs, (2, 1, 2, 1), c)
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(A2, 3), (B2, 4), (C2, 4)]), st.data())
+def test_braid_relations_rank_two(system, data):
+    rs, m = system
+    assert _braid_holds(rs, 1, 2, m, data.draw(characters(rs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_braid_relation_g2(data):
+    """(1,2,1,2,1,2) = (2,1,2,1,2,1)."""
+    assert _braid_holds(G2, 1, 2, 6, data.draw(characters(G2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)), st.data())
+def test_braid_relations_affine_node_a2(j, data):
+    """(0,j,0) = (j,0,j) for j = 1, 2: in affine A2 node 0 joins both nodes."""
+    assert _braid_holds(A2, 0, j, 3, data.draw(characters(A2)))
 
 
 def test_word_independence_via_random_tie_breaks():

@@ -350,6 +350,34 @@ def test_decomposition_matches_character_branch():
             assert crystal_side == branch_side, (rs.type, lam, node)
 
 
+IDENTITY_WEIGHTS = [(f, n, lam) for f, n, top in (("A", 2, 3), ("B", 2, 3), ("C", 2, 3),
+                                                  ("G", 2, 3), ("A", 3, 2), ("B", 3, 2),
+                                                  ("C", 3, 2))
+                    for lam in itertools.product(range(top + 1), repeat=n) if sum(lam) <= top]
+
+
+@pytest.mark.parametrize("family,rank,lam", IDENTITY_WEIGHTS,
+                         ids=["%s%d-%s" % (f, n, ",".join(map(str, lam)))
+                              for f, n, lam in IDENTITY_WEIGHTS])
+def test_decomposition_is_g0_branch_of_finite_character(family, rank, lam):
+    """The crystal-character branching identity, on every node subset: B(lam)
+    split along the nodes' arrows has one piece per irreducible that
+    ``g0_branch`` finds in the finite character of lam, keyed by its highest
+    weight restricted to the nodes and its dimension.  The two sides share
+    no code past the root data."""
+    rs = root_system(family, rank)
+    b, char = build_crystal(rs, lam), finite_character(rs, lam)
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(1, rank + 1), size):
+            pieces = collections.Counter({(p.weight, p.size): p.count
+                                          for p in crystal_decomposition(b, nodes)})
+            branched = collections.Counter()
+            for rec in g0_branch(rs, char, nodes):
+                branched[(tuple(rec.finite[i - 1] for i in nodes), rec.dimension)] += (
+                    rec.multiplicity)
+            assert pieces == branched, nodes
+
+
 def test_decomposition_rejects_multiple_sources():
     u, v, w = Path.straight((1, 0)), Path.straight((0, 1)), Path.straight((1, 1))
     b = CrystalGraph((u, v, w), ((u, w, 1), (v, w, 1)), None)
