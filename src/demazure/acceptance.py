@@ -103,7 +103,7 @@ def embedding_grid():
                         rep = is_r_admissible(rs, mu, cand, r)
                         if not rep.admissible:
                             continue
-                        cert = embedding_certificate(rs, mu, cand, r, report=rep)
+                        cert = embedding_certificate(rs, mu, cand, r)
                         if cert.verdict() == "Certified":
                             certified += 1
                         else:

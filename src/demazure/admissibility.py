@@ -25,17 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
 
-from .rootdata import Root, RootSystem
+from .rootdata import Root, RootSystem, _at_least_1
 from .weights import finite_dominance
 
 _CANDIDATE_BUDGET = 10**5  # candidates in a row a search for a 1-admissible split may reject
 _PAIRINGS_BOUND = 1 << 12  # (root system, part) pairs whose pairings _part_pairings keeps
-
-
-def _at_least_1(name, value):
-    """ValueError unless value is an int >= 1: of type int itself, so not a bool or a float."""
-    if type(value) is not int or value < 1:
-        raise ValueError("%s must be an int >= 1, not %r" % (name, value))
 
 
 def _fill(cls, **fields):

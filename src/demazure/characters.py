@@ -44,7 +44,7 @@ from math import prod
 from operator import add, ge, lshift, mul, sub
 from threading import Lock
 
-from .admissibility import AdmissibilityReport, _pass, is_r_admissible
+from .admissibility import AdmissibilityReport, is_r_admissible
 from .rootdata import RootSystem
 from .weights import AffineWeight, _walk, dominance_algorithm
 
@@ -405,29 +405,21 @@ def _product(factors, nfields):
             for key, c in zip(map(bias.__add__, acc), acc.values())]
 
 
-def embedding_certificate(rs: RootSystem, mu, split, r: int, *,
-                          report: AdmissibilityReport | None = None) -> EmbeddingCertificate:
+def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertificate:
     """Coefficientwise comparison backing the character containment
 
         char(mu, r*k)  <=  char(mu_1, r) * ... * char(mu_k, r)
 
     for a splitting mu = mu_1 + ... + mu_k.  Both extremal coefficients at
     (mu, grade 0) must equal 1.  ``report`` is is_r_admissible(rs, mu, split,
-    r), computed here unless the caller passes it; the comparison runs
-    either way, so an inadmissible split can still be probed for
-    violations.  ``rhs`` multiplies the parts in split order, ``failures``
-    follow ``lhs.sorted_terms()``, and both characters are fresh objects.
+    r), always computed here; the comparison runs whatever its verdict, so
+    an inadmissible split can still be probed for violations.  ``rhs``
+    multiplies the parts in split order, ``failures`` follow
+    ``lhs.sorted_terms()``, and both characters are fresh objects.
     """
     mu = tuple(mu)
     split = tuple(tuple(p) for p in split)
-    if report is None:
-        report = is_r_admissible(rs, mu, split, r)
-    elif (report.mu, report.split, report.r) != (mu, split, r):
-        raise ValueError("report is for another mu, split or r")
-    else:
-        _pass(rs, mu, split, r)
-        if vars(report).get("_rs", rs).positive_roots != rs.positive_roots:
-            raise ValueError("report is for another root system")
+    report = is_r_admissible(rs, mu, split, r)
     n, level = rs.rank, r * len(split)
     flat = _flat(rs, mu, level)
     lhs = GradedCharacter._adopt({(flat[j:j + n], level, flat[j + n]): flat[j + n + 1]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
-from .rootdata import Root, RootSystem
+from .rootdata import Root, RootSystem, _at_least_1
 from .weights import _signed_positions
 
 _TUPLE_BUDGET = 10**5  # minimal tuples (M) or monomials (Mpp) one relation set may generate
@@ -112,8 +112,7 @@ def _family(kind: str, rs: RootSystem, mu, k, shape) -> PFamily:
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
     """The graded family p(s) = max{0, x - d_alpha*k*s} for level k >= 1."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _at_least_1("k", k)
     return _family("demazure", rs, mu, k, lambda sign, d: (d * k, 0))
 
 
@@ -416,8 +415,7 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     At level k = 1 the annihilator is a consequence unless d_alpha > 1 and
     the power unless d_alpha = 3 = m + 2; those come tagged 'redundant-k1'.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _at_least_1("k", k)
     return _with_annihilators(_key_walk(rs, rs.check_weight(mu)), partial(_sm_rows, k=k),
                               ("mathieu",))
 

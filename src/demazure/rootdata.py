@@ -58,6 +58,12 @@ _RANK_OK = {
 }
 
 
+def _at_least_1(name, value):
+    """ValueError unless value is an int >= 1: of type int itself, so not a bool or a float."""
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be an int >= 1, not %r" % (name, value))
+
+
 @dataclass(frozen=True, order=True)
 class Root:
     """A root, stored by its integer coordinates in the simple-root basis."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, sub
 
-from .rootdata import Root, RootSystem
+from .rootdata import Root, RootSystem, _at_least_1
 
 _STEP_LIMIT = 10**6  # safety guard for the dominance walk
 
@@ -99,14 +99,13 @@ def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
     """Walk w into the dominant chamber of the affine Weyl group.
 
     Returns (Lambda, word): Lambda is dominant and applying the word's
-    reflections to Lambda rightmost-first reproduces w.  Requires level
-    >= 1; level 0 orbits need not meet the dominant chamber, so they are
+    reflections to Lambda rightmost-first reproduces w.  Requires an int
+    level >= 1; level 0 orbits need not meet the dominant chamber, so they are
     rejected.  `pick` chooses among the strictly negative nodes (default:
     smallest index); any choice reaches the same Lambda.
     """
     fin, n = rs.check_weight(w.finite), rs.rank
-    if w.level < 1:
-        raise ValueError("dominance walk needs level >= 1")
+    _at_least_1("level", w.level)
     v, word = _walk(fin + (w.degree, affine_pairing(rs, w, 0)), rs._alphas, range(n + 1), pick)
     return AffineWeight(v[:n], w.level, v[n]), word
 

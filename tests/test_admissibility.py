@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demazure import admissibility
 from demazure.admissibility import (balanced_split, candidate_splits,
@@ -159,13 +161,38 @@ def test_enumerated_pullbacks_are_preadmissible():
             assert ok
 
 
-def test_admissibility_permutation_invariant():
-    mu = (2, 1)
-    for split in [((1, 1), (1, 0)), ((2, 0), (0, 1))]:
-        for r in (1, 2):
-            direct = is_r_admissible(C2, mu, split, r).admissible
-            swapped = is_r_admissible(C2, mu, (split[1], split[0]), r).admissible
-            assert direct == swapped
+PERMUTED_TYPES = [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("B", 3)]
+
+
+@st.composite
+def permuted_splits(draw):
+    """(rs, split, permutation of its parts) over A2, B2, C2, G2 and B3, with
+    2 <= k <= 4 parts of coordinates in -3..3."""
+    rs = root_system(*draw(st.sampled_from(PERMUTED_TYPES)))
+    part = st.tuples(*[st.integers(-3, 3)] * rs.rank)
+    split = tuple(draw(st.lists(part, min_size=2, max_size=4)))
+    return rs, split, tuple(draw(st.permutations(range(len(split)))))
+
+
+def _invariants(rs, split, r):
+    mu = tuple(map(sum, zip(*split)))
+    rep = is_r_admissible(rs, mu, split, r)
+    records = [(rec.profile.root, rec.profile.sign, sorted(rec.profile.values),
+                rec.condition_a, rec.condition_b) for rec in rep.records]
+    return rep.admissible, rep.preadmissible, minimal_r(rs, mu, split), records
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_splits(), st.integers(1, 3))
+@example((C2, ((1, 1), (1, 0)), (1, 0)), 1)
+@example((C2, ((1, 1), (1, 0)), (1, 0)), 2)
+@example((C2, ((2, 0), (0, 1)), (1, 0)), 1)
+@example((C2, ((2, 0), (0, 1)), (1, 0)), 2)
+def test_admissibility_permutation_invariant(case, r):
+    """The verdicts, minimal_r and every record up to the order of its values
+    do not depend on the order of the parts."""
+    rs, split, perm = case
+    assert _invariants(rs, split, r) == _invariants(rs, tuple(split[i] for i in perm), r)
 
 
 def test_find_1_admissible_c2():

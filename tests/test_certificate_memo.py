@@ -3,19 +3,19 @@ differential oracle against the factor loop that computes every character
 afresh and multiplies by the earlier tuple loop (``tensor_reference``),
 certificates far from zero and with failures, the memo's safety (fresh
 objects, the term bound, budget errors), a guard that a repeated
-certificate applies no operator, and the ``report=`` keyword."""
+certificate applies no operator, and a property that every certificate
+carries the verdict of its own ``is_r_admissible`` call."""
 
-import copy
-import pickle
 import random
 from collections import OrderedDict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tensor_reference
 from demazure import acceptance, characters
-from demazure.admissibility import (AdmissibilityReport, candidate_splits,
-                                    is_r_admissible)
+from demazure.admissibility import candidate_splits, is_r_admissible
 from demazure.characters import (GradedCharacter, demazure_character,
                                  embedding_certificate)
 from demazure.rootdata import root_system
@@ -24,7 +24,6 @@ A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 C2 = root_system("C", 2)
 G2 = root_system("G", 2)
-B2 = root_system("B", 2)
 
 
 @pytest.fixture(autouse=True)
@@ -198,45 +197,30 @@ def test_repeated_certificate_applies_no_operator(monkeypatch):
     assert again.lhs is not first.lhs and again.rhs is not first.rhs
 
 
-def test_report_is_reused_and_checked():
-    mu, split = (2, 1), ((1, 1), (1, 0))
-    report = is_r_admissible(C2, mu, split, 2)
-    cert = embedding_certificate(C2, [2, 1], [[1, 1], [1, 0]], 2, report=report)
-    assert cert.report is report
-    assert cert == embedding_certificate(C2, mu, split, 2)
-    for other in [((2, 1), ((1, 0), (1, 1)), 2), ((2, 1), split, 1),
-                  ((1, 1), ((1, 1),), 2)]:
-        with pytest.raises(ValueError, match="report is for another"):
-            embedding_certificate(C2, *other, report=report)
-    bad = AdmissibilityReport((2, 1), ((1, 1), (1, 1)), 2, True, (), ())
-    with pytest.raises(ValueError, match="split sums to"):
-        embedding_certificate(C2, mu, ((1, 1), (1, 1)), 2, report=bad)
-
-
-def test_report_of_another_root_system_is_refused():
-    """B2 finds the split 1-admissible and C2 does not: B2's report, read or
-    not, copied or not, gives a C2 certificate no verdict."""
-    mu, split = (2, 1), ((1, 1), (1, 0))
-    theirs = is_r_admissible(B2, mu, split, 1)
-    assert theirs.admissible and not is_r_admissible(C2, mu, split, 1).admissible
-    for report in (theirs, copy.deepcopy(theirs), pickle.loads(pickle.dumps(theirs))):
-        with pytest.raises(ValueError, match="report is for another root system"):
-            embedding_certificate(C2, mu, split, 1, report=report)
-        assert report.records and not embedding_certificate(B2, mu, split, 1, report=report).failures
-        with pytest.raises(ValueError, match="report is for another root system"):
-            embedding_certificate(C2, mu, split, 1, report=report)
-    assert not embedding_certificate(C2, mu, split, 1, report=copy.copy(
-        is_r_admissible(C2, mu, split, 1))).split_admissible
-
-
 @pytest.mark.parametrize("r", (1.5, 2.0, True))
 def test_r_must_be_an_int(r):
-    """Also with a report at the int equal to r, which the mu, split and r
-    comparison alone lets through."""
-    mu, split = (2, 1), ((1, 1), (1, 0))
-    for report in (None, is_r_admissible(C2, mu, split, int(r))) if r == int(r) else (None,):
-        with pytest.raises(ValueError, match="r must be an int >= 1"):
-            embedding_certificate(C2, mu, split, r, report=report)
+    with pytest.raises(ValueError, match="r must be an int >= 1"):
+        embedding_certificate(C2, (2, 1), ((1, 1), (1, 0)), r)
+
+
+@st.composite
+def splits(draw):
+    """(rs, mu, split, r) over A1 and A2 with parts in -2..2, k <= 3 and r <= 2:
+    mostly not preadmissible, some admissible."""
+    rs = draw(st.sampled_from((A1, A2)))
+    part = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    split = tuple(draw(st.lists(part, min_size=1, max_size=3)))
+    return rs, tuple(map(sum, zip(*split))), split, draw(st.integers(1, 2))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(splits())
+def test_certificate_reports_its_own_verdict(case):
+    rs, mu, split, r = case
+    cert, report = embedding_certificate(*case), is_r_admissible(*case)
+    assert cert.report == report and cert.split_admissible == report.admissible
+    assert_matches_reference(cert, rs, mu, split, r)
 
 
 def test_embedding_grid_checks_each_candidate_once(monkeypatch):
@@ -248,6 +232,7 @@ def test_embedding_grid_checks_each_candidate_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(characters, "is_r_admissible", counted)
-    name, ok, _ = acceptance.embedding_grid()
+    name, ok, detail = acceptance.embedding_grid()
     assert name == "embedding-grid" and ok
-    assert len(calls) == 2  # the two displayed cases, which pass no report
+    # one per certificate: each admissible candidate and the two displayed cases
+    assert len(calls) == int(detail.split()[0]) + 2 > 2

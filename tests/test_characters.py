@@ -153,6 +153,12 @@ def test_level_zero_rejected():
         demazure_character(A2, (1, 0), 0)
 
 
+def test_level_true_rejected():
+    """k = True once gave the level-1 character."""
+    with pytest.raises(ValueError, match="level must be an int >= 1, not True"):
+        demazure_character(A2, (1, 0), True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([A1, A2, C2]), st.data())
 def test_idempotence_on_random_characters(rs, data):

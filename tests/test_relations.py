@@ -20,6 +20,16 @@ G2 = root_system("G", 2)
 
 # -- p functions ------------------------------------------------------------
 
+@pytest.mark.parametrize("make", [demazure_p, simplified_demazure_relations],
+                         ids=["demazure_p", "simplified_demazure_relations"])
+@pytest.mark.parametrize("k", (0, 1.5, 2.0, True))
+def test_level_k_must_be_an_int(make, k):
+    """demazure_p at k = 1.5 once raised TypeError from range, and
+    simplified_demazure_relations at k = 2.0 gave float factors."""
+    with pytest.raises(ValueError, match="k must be an int >= 1, not %r" % (k,)):
+        make(A1, (-3,), k)
+
+
 def test_demazure_p_a1_example():
     fam = demazure_p(A1, (-5,), 2)
     p = fam.pfunction(Root((1,)), "+")

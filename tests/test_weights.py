@@ -91,6 +91,14 @@ def test_dominance_rejects_level_zero():
         dominance_algorithm(rs, AffineWeight((2,), 0, 0))
 
 
+@pytest.mark.parametrize("level", (0, 1.5, 2.0, True))
+def test_dominance_takes_an_int_level(level):
+    """Level 1.5 once walked to AffineWeight((0.5, 0.5), 1.5, 0.5), and True
+    walked as level 1."""
+    with pytest.raises(ValueError, match="level must be an int >= 1, not %r" % (level,)):
+        dominance_algorithm(root_system("A", 2), AffineWeight((1, -2), level, 0))
+
+
 def _roundtrip(rs, w):
     lam, word = dominance_algorithm(rs, w)
     assert is_affine_dominant(rs, lam)
