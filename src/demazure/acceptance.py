@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .admissibility import (_read_report, balanced_split, candidate_splits,
-                            is_r_admissible, profile_bound_scan)
+from .admissibility import balanced_split, candidate_splits, is_r_admissible, profile_bound_scan
 from .characters import (GradedCharacter, _apply_word, demazure_character,
                          demazure_operator, embedding_certificate,
                          finite_character, g0_branch)
@@ -134,7 +133,7 @@ def balanced_splits_type_a():
             for k in (1, 2, 3):
                 total += 1
                 # the split is preadmissible, so its report has every profile
-                rep = _read_report(rs, lam, balanced_split(rs, lam, k), 1)
+                rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
                 bad_spread += [(rank, lam, k, rec.profile.root)
                                for rec in rep.records if rec.profile.t > 1]
                 if not rep.admissible:

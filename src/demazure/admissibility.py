@@ -14,8 +14,7 @@ a split (``_pass``): part pairings come from the memo ``_part_pairings`` (the
 last 2^12 parts, ``_PAIRINGS_BOUND``), and each root's column of them is read
 by its sum, min and max alone, which decide its witnesses and both conditions.
 A report keeps its verdict, which stops at the first failing (root, sign), and
-its root system; it builds its records, in a second pass, when first read.  A
-caller that reads them at once takes ``_read_report``, which builds them in its pass.
+its pass's (root, sign) rows; it builds its records from those rows when first read.
 """
 
 from __future__ import annotations
@@ -96,11 +95,10 @@ class AdmissibilityReport:
     sign_witnesses: tuple  # (root, part index, part pairing) breaking inheritance
     records: tuple[ConditionRecord, ...]
 
-    def __getattr__(self, name):  # an is_r_admissible report's records: one tuple for all
-        if name != "records" or "_rs" not in (kept := vars(self)):
+    def __getattr__(self, name):  # an is_r_admissible report's records, from its pass's rows
+        if name != "records" or "_signed" not in (kept := vars(self)):
             raise AttributeError(name)
-        passed = _pass(rs := kept["_rs"], self.mu, self.split)
-        return kept.setdefault("records", tuple(_records(rs, passed, self.r)))
+        return kept.setdefault("records", tuple(_records(kept["_signed"], self.k, self.r)))
 
     @property
     def k(self) -> int:
@@ -126,10 +124,9 @@ def _part_pairings(rs: RootSystem, *part) -> tuple[int, ...]:
 def _pass(rs: RootSystem, mu, split, r=1):
     """Check r (an int >= 1) and the split, and walk the roots once.  Returns
     mu, the parts, the sign witnesses (root, part index, pairing) and, when
-    there are none, (j, column, sign, d, x, lo, total) per (root, sign) of
-    signed_roots(rs, mu) at root position j: the profile's values are the
-    column of part pairings for '-' and its negatives for '+', with max x,
-    min lo and sum total."""
+    there are none, (root, column, sign, d, x, lo, total) per (root, sign) of
+    signed_roots(rs, mu): the profile's values are the column of part pairings
+    for '-' and its negatives for '+', with max x, min lo and sum total."""
     _at_least_1("r", r)
     if len(split) < 1:
         raise ValueError("split needs at least one part")
@@ -137,16 +134,16 @@ def _pass(rs: RootSystem, mu, split, r=1):
     parts, sums = tuple(map(tuple, split)), tuple(map(sum, zip(*split)))
     if sums != (mu := rs.check_weight(mu)):
         raise ValueError(f"split sums to {sums}, not {mu}")
-    columns, signed, d_at = tuple(zip(*rows)), [], rs._d_at
-    for j, column in enumerate(columns):
+    columns, signed = tuple(zip(*rows)), []
+    for root, d, column in zip(rs.positive_roots, rs._d_at, columns):
         pair, lo, hi = sum(column), min(column), max(column)
         if pair >= 0 > lo or pair <= 0 < hi:  # a part pairs nonzero, to zero or against mu
             return mu, parts, tuple((root, idx, v) for root, col in zip(rs.positive_roots, columns)
                                     for idx, v in enumerate(col) if v and sum(col) * v <= 0), ()
         if pair <= 0:
-            signed.append((j, column, "+", d_at[j], -lo, -hi, -pair))
+            signed.append((root, column, "+", d, -lo, -hi, -pair))
         if pair >= 0:
-            signed.append((j, column, "-", d_at[j], hi, lo, pair))
+            signed.append((root, column, "-", d, hi, lo, pair))
     return mu, parts, (), signed
 
 
@@ -172,11 +169,11 @@ def root_profile(rs: RootSystem, split, root: Root, sign: str) -> RootProfile:
     return RootProfile(root, sign, rs.d(root), tuple(map(neg, pairs)) if sign == "+" else pairs)
 
 
-def _records(rs: RootSystem, passed, r: int):
-    """The ConditionRecords at r of ``_pass``'s output ``passed``, one per (root, sign)."""
-    for j, column, sign, d, x, lo, total in passed[3]:
-        a, b = _conditions(len(passed[1]), r, sign, d, x, lo, total)
-        prof = _fill(RootProfile, root=rs.positive_roots[j], sign=sign, d=d,
+def _records(signed, k: int, r: int):
+    """The ConditionRecords at r of k parts, one per (root, sign) row ``signed`` of ``_pass``."""
+    for root, column, sign, d, x, lo, total in signed:
+        a, b = _conditions(k, r, sign, d, x, lo, total)
+        prof = _fill(RootProfile, root=root, sign=sign, d=d,
                      values=column if sign == "-" else tuple(map(neg, column)))
         yield _fill(ConditionRecord, profile=prof, condition_a=a, condition_b=b)
 
@@ -192,16 +189,7 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     ok = not witnesses and all(False not in _conditions(k, r, sign, d, x, lo, total)
                                for _, _, sign, d, x, lo, total in signed)
     return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
-                 sign_witnesses=witnesses, _rs=rs, _admissible=ok)
-
-
-def _read_report(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
-    """The report of ``is_r_admissible``, its records built from the same pass."""
-    mu, parts, witnesses, _ = passed = _pass(rs, mu, split, r)
-    records = tuple(_records(rs, passed, r))
-    ok = not witnesses and all(rec.ok for rec in records)
-    return _fill(AdmissibilityReport, mu=mu, split=parts, r=r, preadmissible=not witnesses,
-                 sign_witnesses=witnesses, _rs=rs, _admissible=ok, records=records)
+                 sign_witnesses=witnesses, _signed=signed, _admissible=ok)
 
 
 def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
@@ -351,7 +339,7 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
         for k in range(1, k_bound + 1):
             # dominant parts of a dominant lam are preadmissible, so the
             # report carries every profile
-            rep = _read_report(rs, lam, balanced_split(rs, lam, k), 1)
+            rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
             profs = [rec.profile for rec in rep.records]
             t_max = max(p.t for p in profs)
             escape = any(p.t == 2 and p.m(1) == 1 for p in profs)

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .acceptance import run_all
-from .admissibility import (_admissible_candidates, _read_report, balanced_split,
+from .admissibility import (_admissible_candidates, balanced_split,
                             candidate_splits, is_r_admissible)
 from .characters import demazure_character, embedding_certificate
 from .crystal import (build_crystal, component_of, crystal_decomposition,
@@ -147,7 +147,7 @@ def _report_json(rep):
 
 
 def _cmd_admissible(a, rs) -> int:
-    rep = _read_report(rs, a.mu, a.split, a.r)
+    rep = is_r_admissible(rs, a.mu, a.split, a.r)
     _emit(_report_json(rep))
     return 0 if rep.admissible else 1
 

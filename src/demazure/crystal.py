@@ -59,6 +59,8 @@ class Path:
 
     def __new__(cls, steps, rank):
         steps = [[Fraction(x) for x in raw] for raw in steps]
+        if any(len(step) != rank for step in steps):
+            raise ValueError("a step of a rank-%r path needs %r coordinates" % (rank, rank))
         den = lcm(*(x.denominator for step in steps for x in step))
         runs = []
         for step in steps:

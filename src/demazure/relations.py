@@ -376,8 +376,8 @@ def expand_x_element(variant: str, r: int, s: int, k: int | None = None):
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    if variant in ("truncated_k", "from_k") and (k is None or k < 0):
-        raise ValueError("this variant needs a bound k >= 0")
+    if variant in ("truncated_k", "from_k") and (type(k) is not int or k < 0):
+        raise ValueError("this variant needs an int bound k >= 0, not %r" % (k,))
     vectors = s_sets(r, s, lower=k if variant == "from_k" else 0,
                      upper=k if variant == "truncated_k" else None)
     shift = 1 if variant == "t_shifted" else 0
@@ -390,8 +390,9 @@ def sm_pair(x: int, step: int) -> tuple[int, int]:
     """The unique (s, m) with x = (s-1)*step + m and 0 < m <= step.
 
     x = 0 is the degenerate case (0, step)."""
-    if x < 0 or step < 1:
-        raise ValueError("need x >= 0 and step >= 1")
+    _at_least_1("step", step)
+    if type(x) is not int or x < 0:
+        raise ValueError("x must be an int >= 0, not %r" % (x,))
     if x == 0:
         return 0, step
     s = -(-x // step)

@@ -50,6 +50,12 @@ def test_path_concat_and_weight():
     assert p.weight() == (1, 1)
 
 
+@pytest.mark.parametrize("steps", [((1, 0, 0),), ((1,),), ((1, 0), (0, 1, 2))])
+def test_path_steps_need_rank_coordinates(steps):
+    with pytest.raises(ValueError, match="rank-2 path"):
+        Path(steps, 2)
+
+
 def test_a1_string_walk():
     top = Path.straight((2,))
     mid = root_operator_f(A1, 1, top)

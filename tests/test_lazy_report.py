@@ -3,12 +3,14 @@ when ``records`` is first read.  Before and after that read it compares,
 hashes, prints, pickles, copies, converts and replaces as the filled report
 of the earlier implementation in ``admissibility_reference`` does; its
 verdict agrees with its records on random splits, most of which break sign
-inheritance; and reading the verdict, alone or through a certificate,
-builds no record."""
+inheritance; reading the verdict, alone or through a certificate,
+builds no record; and the records come from the pass that decided the
+verdict, so a report runs the pass once and keeps no root system."""
 
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import sys
 import threading
@@ -18,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admissibility_reference as ref
+from demazure import admissibility
 from demazure.admissibility import ConditionRecord, is_r_admissible
 from demazure.characters import embedding_certificate
+from demazure.cli import main
 from demazure.rootdata import root_system
 
 C2, B3, G2 = root_system("C", 2), root_system("B", 3), root_system("G", 2)
@@ -100,7 +104,43 @@ def test_other_names_stay_missing():
         assert not hasattr(rep, name)
     assert "records" not in vars(rep)
     hand_made = ref.is_r_admissible(*CASES["admissible"])
-    assert not hasattr(hand_made, "_rs") and hand_made.admissible
+    assert not hasattr(hand_made, "_signed") and hand_made.admissible
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The calls of admissibility._pass from now on, counted in a one-item list."""
+    count, run = [0], admissibility._pass
+
+    def counted(*args):
+        count[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(admissibility, "_pass", counted)
+    return count
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reading_records_runs_no_second_pass(case, passes):
+    rep, want = is_r_admissible(*CASES[case]), ref.is_r_admissible(*CASES[case])
+    assert passes == [1]
+    assert rep.records == want.records and rep.failures == want.failures
+    assert passes == [1]
+
+
+def test_embed_check_runs_one_pass(passes, capsys):
+    """Its admissibility violations are read from the records of the certificate's report."""
+    main(["embed-check", "--type", "C", "--rank", "2", "--mu", "2,1",
+          "--split", "1,1|1,0", "--r", "1"])
+    assert json.loads(capsys.readouterr().out)["admissibility_violations"]
+    assert passes == [1]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_unread_report_pickles_no_root_system(case):
+    rep = is_r_admissible(*CASES[case])
+    assert b"RootSystem" not in pickle.dumps(rep)
+    assert "records" not in vars(rep)
 
 
 @st.composite
@@ -120,7 +160,8 @@ def test_verdict_agrees_with_records(case):
     verdict = rep.admissible
     assert "records" not in vars(rep)
     assert verdict == (rep.preadmissible and all(rec.ok for rec in rep.records))
-    assert verdict == ref.is_r_admissible(*case).admissible
+    want = ref.is_r_admissible(*case)
+    assert verdict == want.admissible and rep.records == want.records
 
 
 def test_verdict_builds_no_record():

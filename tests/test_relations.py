@@ -359,6 +359,12 @@ def test_expand_x_validation():
         expand_x_element("from_k", 1, 1)
 
 
+@pytest.mark.parametrize("variant, k", [("truncated_k", 1.5), ("from_k", True)])
+def test_expand_x_bound_is_an_int(variant, k):
+    with pytest.raises(ValueError, match="int bound k >= 0"):
+        expand_x_element(variant, 2, 1, k)
+
+
 # -- sm decomposition and the short presentation ------------------------------
 
 def test_sm_pair():
@@ -368,6 +374,12 @@ def test_sm_pair():
     assert sm_pair(1, 6) == (1, 1)
     with pytest.raises(ValueError):
         sm_pair(-1, 2)
+
+
+@pytest.mark.parametrize("x, step", [(5, 2.0), (5, True), (2.5, 2), (True, 2)])
+def test_sm_pair_takes_ints(x, step):
+    with pytest.raises(ValueError, match="must be an int"):
+        sm_pair(x, step)
 
 
 def test_sm_recombination():
