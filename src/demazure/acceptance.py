@@ -12,7 +12,7 @@ import itertools
 import random
 
 from .admissibility import balanced_split, candidate_splits, is_r_admissible, profile_bound_scan
-from .characters import (GradedCharacter, _apply_word, demazure_character,
+from .characters import (GradedCharacter, _apply_word, _decode, demazure_character,
                          demazure_operator, embedding_certificate,
                          finite_character, g0_branch)
 from .crystal import (build_crystal, component_of, demazure_subcrystal,
@@ -188,7 +188,8 @@ def character_operators(seed=0):
         if rs.rank == 2:
             word_a, word_b = ((1, 2, 1), (2, 1, 2)) if rs.family == "A" \
                 else ((1, 2, 1, 2), (2, 1, 2, 1))
-            if _apply_word(rs, reversed(word_a), c) != _apply_word(rs, reversed(word_b), c):
+            if _decode(_apply_word(rs, reversed(word_a), c), rs.rank) \
+                    != _decode(_apply_word(rs, reversed(word_b), c), rs.rank):
                 braid_bad += 1
 
     word_bad = pos_bad = 0

@@ -21,30 +21,27 @@ termwise, which for pairing m = lam(h_i) works out to
 
 The operators are linear, idempotent, and satisfy the braid relations, so
 compositions along reduced words depend only on the Weyl group element.
-Every character is D along one dominance walk's word, and every operator
-runs in one loop, ``_apply_word``, on a dict from an int to its
-multiplicity.  The int packs a term's (finite, grade, h_0 pairing level -
-finite(h_theta), level) in biased bit fields, the first lowest, too wide to
-overflow: row i of ``rs._alphas``, packed, is the step of D_i, and m is field
-i - 1 (field n + 1 for node 0).  The loop stops a character past
-``_TERM_BUDGET`` output terms; one application stops before its strings
-would emit more than that.  Products run in one loop too, ``_product``,
-which ``tensor`` and ``embedding_certificate`` share: terms packed into ints
-of signed fields, so a product of terms is a sum of ints.  ``g0_branch``
-sums signs by Weyl's character formula; only a failing slice peels
-characters.
+Every character is D along one dominance walk's word.
+
+Inside the module a character travels packed (``_pack``, ``_decode``), so a
+product of terms is a sum of ints (``_product``).  Every operator runs in one
+loop, ``_apply_word``, which stops a character past ``_TERM_BUDGET`` output
+terms; one application stops before its strings would emit more than that.
+``g0_branch`` sums signs by Weyl's character formula; only a failing slice
+peels characters.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, compress, takewhile
+from itertools import compress, count, takewhile
 from math import prod
 from operator import add, ge, lshift, mul, sub
+from struct import Struct
 from threading import Lock
 
-from .admissibility import AdmissibilityReport, is_r_admissible
+from .admissibility import AdmissibilityReport, _fill, is_r_admissible
 from .rootdata import RootSystem
 from .weights import AffineWeight, _walk, dominance_algorithm
 
@@ -101,14 +98,12 @@ class GradedCharacter:
         ranks = {len(f) for f, _, _ in self.terms} | {len(f) for f, _, _ in other.terms}
         if len(ranks) > 1:
             raise ValueError("tensor of characters of different ranks %r" % sorted(ranks))
-        n = ranks.pop()
-        flats = [tuple(chain.from_iterable((*fin, grade, lvl, c)
-                                           for (fin, lvl, grade), c in char.terms.items()))
-                 for char in (self, other)]
-        if not all(isinstance(c, int) for c in chain(*flats)):
+        if not all(isinstance(c, int) for char in (self, other)
+                   for (fin, lvl, grade), mult in char.terms.items()
+                   for c in (*fin, lvl, grade, mult)):
             raise ValueError("tensor of characters with an entry that is not an int")
-        return GradedCharacter._adopt({(tuple(f[:n]), f[n + 1], f[n]): c
-                                       for f, c in _product(flats, n + 2)})
+        n = ranks.pop()
+        return _decode(_product([_pack(self.terms), _pack(other.terms)], n), n)
 
     def __eq__(self, other):
         return isinstance(other, GradedCharacter) and self.terms == other.terms
@@ -121,61 +116,95 @@ class GradedCharacter:
                                                         self.dimension())
 
 
+def _width(reach: int) -> int:
+    """Bits per field for |fields| <= reach: 32, or the first doubling that holds them."""
+    return max(32, 1 << reach.bit_length().bit_length())
+
+
+def _pack(terms, width: int = 32, spare: int = 0):
+    """{(finite, level, grade): value} as a packed character (width, reach,
+    {key: value}) in order: key = sum(field << j * width) over the signed
+    fields (finite, grade, level), |field| <= reach, and width is ``width``
+    or the narrowest wider one with room for ``spare`` more."""
+    reach = max((abs(c) for fin, lvl, grade in terms for c in (*fin, lvl, grade)), default=0)
+    width = max(width, _width(reach + spare))
+    return width, reach, {sum(map(lshift, (*fin, grade, lvl), count(0, width))): value
+                          for (fin, lvl, grade), value in terms.items()}
+
+
+def _decode(packed, n: int) -> GradedCharacter:
+    """A packed character of rank n, in order.  Adding half of each field's
+    range and xoring it back leaves each field's two's complement in its own
+    bytes: one ``struct`` unpack reads fields up to 64 bits; wider ones shift and mask."""
+    width, _, terms = packed
+    half, mask = 1 << width - 1, (1 << width) - 1
+    bias = ((1 << (n + 2) * width) - 1) // mask * half  # half in every field
+    if width <= 64:
+        row = Struct("<%d%s" % (n + 2, "iq"[width // 64]))
+        size = row.size
+        rows = row.iter_unpack(b"".join([(key + bias ^ bias).to_bytes(size, "little")
+                                         for key in terms]))
+    else:
+        shifts = range(0, (n + 2) * width, width)
+        rows = (tuple([(key + bias >> s & mask) - half for s in shifts]) for key in terms)
+    return GradedCharacter._adopt({(f[:n], f[n + 1], f[n]): value
+                                   for f, value in zip(rows, terms.values())})
+
+
 def demazure_operator(rs: RootSystem, i: int, char: GradedCharacter) -> GradedCharacter:
     """D_i applied to ``char``, i in 0..rank: pack, one letter, decode."""
-    return _apply_word(rs, (i,), char)
+    return _decode(_apply_word(rs, (i,), char), rs.rank)
 
 
-def _apply_word(rs: RootSystem, word, char: GradedCharacter) -> GradedCharacter:
-    """Apply D_i for each i of word, first letter first, within _TERM_BUDGET terms:
-    pack once, step, decode once.  No field overflows, as each emitted term is
-    at most budget steps of alpha_i from a term the letter was applied to."""
+def _apply_word(rs: RootSystem, word, char: GradedCharacter):
+    """Apply D_i for each i of word, first letter first, within _TERM_BUDGET
+    terms, to char packed with its pairing with h_0 as a top field and every
+    field biased: row i of ``rs._alphas``, packed, is the step of D_i.  Each
+    emitted term is at most budget steps of alpha_i from a term the letter was
+    applied to, so no field overflows, and reach grows by at most one step
+    per emitted term."""
     n, word, budget = rs.rank, tuple(word), _TERM_BUDGET
     if bad := [i for i in word if not 0 <= i <= n]:
         raise ValueError("node %r out of range" % (bad[0],))
-    theta_co, rows = rs.coroot_vector(rs.theta), []
+    theta_co, rows = rs.coroot_vector(rs.theta), {}
     for term, mult in char.terms.items():
         fin, lvl, grade = term
         fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
         if not all(isinstance(c, int) for c in (*fin, lvl, grade)):
             raise ValueError("term %r has a coordinate, level or grade that is not an int"
                              % (term,))
-        rows.append(((*fin, grade, lvl - sum(map(mul, fin, theta_co)), lvl), mult))
+        # _pack reads a key (a, b, c) as fields a, c, b: fin, grade, level, h_0 pairing
+        rows[((*fin, grade), lvl - sum(map(mul, fin, theta_co)), lvl)] = mult
     top = max(abs(c) for alpha in rs._alphas for c in alpha)
-    reach = max((abs(c) for fields, _ in rows for c in fields), default=0)
-    width = (reach + (len(word) + 1) * top * budget).bit_length() + 1
-    bias, mask, shifts = 1 << width - 1, (1 << width) - 1, range(0, (n + 3) * width, width)
-
-    def pack(fields, offset):
-        return sum(c + offset << s for c, s in zip(fields, shifts))
-
-    terms, total = {pack(fields, bias): mult for fields, mult in rows}, 0
+    width, reach, terms = _pack(rows, spare=(len(word) + 1) * top * budget)
+    at0, half, mask = (n + 2) * width, 1 << width - 1, (1 << width) - 1
+    bias = ((1 << at0 + width) - 1) // mask * half  # half in every field
+    terms, total, spread = {key + bias: mult for key, mult in terms.items()}, 0, 0
     for i in word:
-        step, at = pack(rs._alphas[i], 0), shifts[i - 1 if i else n + 1]
-        out, emitted, down = {}, 0, -step
+        alpha = rs._alphas[i]
+        [step] = _pack({(alpha[:n + 1], alpha[n + 1], 0): 0}, width)[2]
+        out, emitted, down, at = {}, 0, -step, (i - 1) * width if i else at0
         get = out.get
         for key, mult in terms.items():
-            # pairing m = field - bias: walk m + 1 terms down from lam, or
+            # pairing m = field - half: walk m + 1 terms down from lam, or
             # -m - 1 up from lam + alpha_i; m == -1 adds nothing
-            if (field := key >> at & mask) >= bias:
-                count, stride = field - bias + 1, down
+            if (field := key >> at & mask) >= half:
+                length, stride = field - half + 1, down
             else:
-                count, stride, key, mult = bias - 1 - field, step, key + step, -mult
-            emitted += count
+                length, stride, key, mult = half - 1 - field, step, key + step, -mult
+            emitted += length
             if emitted > budget:
                 raise RuntimeError("character budget exceeded: %d terms" % emitted)
-            for _ in range(count):
+            for _ in range(length):
                 out[key] = get(key, 0) + mult
                 key += stride
-        terms = {key: c for key, c in out.items() if c}
+        terms, spread = {key: c for key, c in out.items() if c}, spread + emitted
         total += len(terms)
         if total > budget:
             raise RuntimeError("character budget exceeded: %d terms" % total)
-    decoded = {}
-    for key, c in terms.items():
-        fields = [(key >> s & mask) - bias for s in shifts]
-        decoded[(tuple(fields[:n]), fields[-1], fields[n])] = c
-    return GradedCharacter._adopt(decoded)
+    keep = (1 << at0) - 1  # drops the h_0 field
+    return width, reach + top * spread, {(key & keep) - (bias & keep): c
+                                         for key, c in terms.items()}
 
 
 def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharacter:
@@ -185,15 +214,23 @@ def demazure_character(rs: RootSystem, mu, k: int, *, pick=None) -> GradedCharac
     walk; the operators are applied along the word so that the last one
     applied corresponds to the first reflection of the walk.
     """
-    mu = tuple(mu)
+    return _decode(_character(rs, mu, k, pick), rs.rank)
+
+
+def _character(rs: RootSystem, mu, k: int, pick=None):
+    """demazure_character packed, its normalisation and positivity checked on
+    the keys.  Every term has level k, so its grade is negative exactly when
+    its key lies below k in the level field less half of a grade unit."""
+    mu, n = tuple(mu), rs.rank
     lam, word = dominance_algorithm(rs, AffineWeight(mu, k, 0), pick=pick)
-    char = _apply_word(rs, reversed(word),
-                       GradedCharacter.from_weight(lam.finite, k, lam.degree))
-    if (char.coefficient(mu, k, 0) != 1 or any(g < 0 for (_, _, g) in char.terms)
-            or any(c <= 0 for c in char.terms.values())):
+    packed = width, _, terms = _apply_word(
+        rs, reversed(word), GradedCharacter.from_weight(lam.finite, k, lam.degree))
+    [generator] = _pack({(mu, k, 0): 0}, width)[2]
+    if (terms.get(generator) != 1 or min(terms) < (k << (n + 1) * width) - (1 << n * width - 1)
+            or min(terms.values()) <= 0):
         raise RuntimeError("character of %r at level %d is not normalised and positive"
                            % (mu, k))
-    return char
+    return packed
 
 
 def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> GradedCharacter:
@@ -210,7 +247,8 @@ def parabolic_character(rs: RootSystem, finite, nodes, *, level=0, grade=0) -> G
     if any(finite[i - 1] < 0 for i in nodes):
         raise ValueError("weight %r not dominant on nodes %r" % (finite, nodes))
     _, word = _walk(tuple(-c for c in finite), rs._alphas, nodes)
-    return _apply_word(rs, word, GradedCharacter.from_weight(finite, level, grade))
+    return _decode(_apply_word(rs, word, GradedCharacter.from_weight(finite, level, grade)),
+                   rs.rank)
 
 
 def finite_character(rs: RootSystem, finite) -> GradedCharacter:
@@ -353,56 +391,45 @@ class EmbeddingCertificate:
         return "Certified" if self.certified else "Violation"
 
 
-_memo, _memo_lock = OrderedDict(), Lock()  # (rs, mu, k) -> flat terms, oldest use first
+_memo, _memo_lock = OrderedDict(), Lock()  # (rs, mu, k) -> packed, oldest use first
 _memo_terms = 0  # terms held in _memo
 
 
-def _flat(rs: RootSystem, mu, k: int) -> tuple:
-    """demazure_character(rs, mu, k) as one flat tuple of ints (finite
-    coordinates, grade, multiplicity per term).  The memo keeps it, up to
-    _MEMO_TERMS terms in all; a larger character is not kept."""
+def _stored(rs: RootSystem, mu, k: int):
+    """_character(rs, mu, k), kept up to _MEMO_TERMS terms in all; read only."""
     global _memo_terms
     key = (rs, mu, k)
     with _memo_lock:
-        if (flat := _memo.pop(key, None)) is None:
-            char = demazure_character(rs, mu, k)
-            flat = tuple(chain.from_iterable(f + (g, c) for (f, _, g), c in char.terms.items()))
-            if len(char.terms) > _MEMO_TERMS:
-                return flat
-            _memo_terms += len(char.terms)
+        if (packed := _memo.pop(key, None)) is None:
+            packed = _character(rs, mu, k)
+            if len(packed[2]) > _MEMO_TERMS:
+                return packed
+            _memo_terms += len(packed[2])
             while _memo_terms > _MEMO_TERMS:
-                (old_rs, _, _), old = _memo.popitem(last=False)
-                _memo_terms -= len(old) // (old_rs.rank + 2)
-        _memo[key] = flat
-    return flat
+                _memo_terms -= len(_memo.popitem(last=False)[1][2])
+        _memo[key] = packed
+    return packed
 
 
-def _product(factors, nfields):
-    """The one product loop, over characters given as flat tuples of ints:
-    per term nfields fields, then the multiplicity.  A term packs into one
-    int of signed fields, first field lowest, each wide enough for the
-    factors' largest |entries| summed, so a product of terms is a sum of ints
-    and no field overflows.  The factors multiply left to right, the terms
-    so far outer and the factor's inner, as a loop over term tuples does,
-    and zero sums drop after each factor; the result decodes once, as
-    (fields, multiplicity) pairs in insertion order."""
-    width = sum(max(map(abs, flat), default=0) for flat in factors).bit_length() + 1
-    shifts, stride = range(0, nfields * width, width), nfields + 1
-    packed = [[(sum(map(lshift, flat[j:j + nfields], shifts)), flat[j + nfields])
-               for j in range(0, len(flat), stride)] for flat in factors]
-    acc = dict(packed[0])
-    for terms in packed[1:]:
-        out = {}
+def _product(factors, n: int, width: int = 32):
+    """The one product loop, over packed characters of rank n, at ``width`` or
+    the narrowest wider width that holds the sum of their reaches; a factor of
+    another width is re-packed.  The factors multiply left to right, the terms
+    so far outer and the factor's inner, as a loop over term tuples does, and
+    zero sums drop after each factor."""
+    reach = sum(r for _, r, _ in factors)
+    width = max(width, _width(reach))
+    acc, *rest = [terms if w == width else _pack(_decode((w, r, terms), n).terms, width)[2]
+                  for w, r, terms in factors]
+    for terms in rest:
+        out, pairs = {}, list(terms.items())
         get = out.get
         for key, c in acc.items():
-            for step, m in terms:
+            for step, m in pairs:
                 term = key + step
                 out[term] = get(term, 0) + c * m
         acc = {key: c for key, c in out.items() if c}
-    half, mask = 1 << width - 1, (1 << width) - 1
-    bias = sum(half << s for s in shifts)
-    return [([(key >> s & mask) - half for s in shifts], c)
-            for key, c in zip(map(bias.__add__, acc), acc.values())]
+    return width, reach, acc
 
 
 def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertificate:
@@ -421,18 +448,18 @@ def embedding_certificate(rs: RootSystem, mu, split, r: int) -> EmbeddingCertifi
     split = tuple(tuple(p) for p in split)
     report = is_r_admissible(rs, mu, split, r)
     n, level = rs.rank, r * len(split)
-    flat = _flat(rs, mu, level)
-    lhs = GradedCharacter._adopt({(flat[j:j + n], level, flat[j + n]): flat[j + n + 1]
-                                  for j in range(0, len(flat), n + 2)})
-    rhs = GradedCharacter._adopt({(tuple(f[:n]), level, f[n]): c for f, c in
-                                  _product([_flat(rs, part, r) for part in split], n + 1)})
-    get = rhs.terms.get
-    failures = sorted(((key[0], key[2], mult, have) for key, mult in lhs.terms.items()
+    lhs = _stored(rs, mu, level)
+    width, reach, rhs = _product([_stored(rs, part, r) for part in split], n, lhs[0])
+    lhs, get = _product([lhs], n, width)[2], rhs.get
+    rhs_char = _decode((width, reach, rhs), n)  # lhs takes its keys, decoding only the rest
+    names = dict(zip(rhs, rhs_char.terms))
+    if missing := {key: None for key in lhs if key not in names}:
+        names.update(zip(missing, _decode((width, reach, missing), n).terms))
+    failures = sorted(((names[key][0], names[key][2], mult, have) for key, mult in lhs.items()
                        if mult > (have := get(key, 0))), key=lambda f: (f[1], f[0]))
-    extremal = (lhs.coefficient(mu, level, 0), rhs.coefficient(mu, level, 0))
-    if extremal != (1, 1):
+    [extremal] = _pack({(mu, level, 0): 0}, width)[2]
+    if (extremal := (lhs.get(extremal, 0), get(extremal, 0))) != (1, 1):
         failures.append((mu, 0) + extremal)
-    return EmbeddingCertificate(mu=mu, split=split, r=r,
-                                certified=not failures,
-                                report=report,
-                                failures=tuple(failures), lhs=lhs, rhs=rhs)
+    lhs = GradedCharacter._adopt({names[key]: mult for key, mult in lhs.items()})
+    return _fill(EmbeddingCertificate, mu=mu, split=split, r=r, certified=not failures,
+                 report=report, failures=tuple(failures), lhs=lhs, rhs=rhs_char)

@@ -351,8 +351,9 @@ def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
         raise ValueError("r and s must be nonnegative")
 
     def rec(p, parts, weight):
-        # the vectors on lower..p, p falling; index 0 takes every part left
-        if p < lower or p == 0:
+        # the vectors on lower..p, p falling; index 0 takes every part left, and
+        # a branch ends once its parts cannot make up its weight on lower..p
+        if p < lower or p == 0 or weight > parts * p or weight < parts * lower:
             if weight == 0 and (parts == 0 or p == 0 >= lower):
                 yield ((0, parts),) if parts else ()
             return

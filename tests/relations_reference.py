@@ -7,11 +7,13 @@ builders, which sort each whole set on ``Root`` keys, ``_tuple_relation``,
 the dense minimal-tuple search and the sort key they use; then the p
 families as a table over every (positive root, sign), with ``_ZERO`` where
 mu imposes nothing, and the ``convexity_report`` and ``mmmr_classify`` that
-read that table.  The one edit is a name: the table family's class, the
-earlier ``PFamily`` without its cached key-order walk, is ``TableFamily``
-here.  ``Relation``, ``PFunction``, the report classes, ``xi_tuple``,
-``sm_pair`` and the budget are imported from the package, so old and new
-results compare with ``==``; the four builders take either family.
+read that table; last ``s_sets``, which walked every vector of its weight
+before branches that cannot reach it were pruned.  The one edit is a name:
+the table family's class, the earlier ``PFamily`` without its cached
+key-order walk, is ``TableFamily`` here.  ``Relation``, ``PFunction``, the
+report classes, ``xi_tuple``, ``sm_pair`` and the budget are imported from
+the package, so old and new results compare with ``==``; the four builders
+take either family.
 """
 
 from __future__ import annotations
@@ -277,3 +279,22 @@ def mmmr_classify(fam: TableFamily) -> dict:
     criterion (FirstIso), the separated-head criterion (SecondIso), or both."""
     return {pair: classify_xi(xi_tuple(fam.pfunction(*pair)))
             for pair in fam.applicable_pairs()}
+
+
+def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
+    """Index vectors b >= 0 with sum b_p = r and sum p b_p = s,
+    support restricted to lower <= p < upper.  Sparse ((p, b_p), ...) form."""
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be nonnegative")
+
+    def rec(p, parts, weight):
+        # the vectors on lower..p, p falling; index 0 takes every part left
+        if p < lower or p == 0:
+            if weight == 0 and (parts == 0 or p == 0 >= lower):
+                yield ((0, parts),) if parts else ()
+            return
+        for b in range(min(parts, weight // p) + 1):
+            for rest in rec(p - 1, parts - b, weight - p * b):
+                yield rest + ((p, b),) if b else rest
+
+    return tuple(sorted(rec(s if upper is None else min(upper, s + 1) - 1, r, s)))

@@ -99,19 +99,33 @@ def test_certificates_far_from_zero_match_factor_loop(mu, split, r):
     assert_matches_reference(cert, A1, mu, split, r)
 
 
+@pytest.mark.parametrize("mu,split,r", [
+    ((10**20,), ((6 * 10**19,), (4 * 10**19,)), 10**20),
+    ((-2,), ((-1,), (-1,)), 10**20),
+    ((-1,), ((-1,), (0,), (0,)), 2**63),
+])
+def test_certificates_past_64_bit_fields_match_factor_loop(mu, split, r):
+    """Levels or coordinates past 2^63 take fields wider than one ``struct``
+    unpack reads; lhs and rhs decode by shift and mask."""
+    cert = embedding_certificate(A1, mu, split, r)
+    assert max(abs(c) for fin, lvl, _ in cert.rhs.terms for c in (*fin, lvl)) >= 2**63
+    assert_matches_reference(cert, A1, mu, split, r)
+
+
 def test_inadmissible_probe_with_failures_matches_factor_loop(monkeypatch):
     """Every certificate tried, inadmissible splits included, certifies, so
     this probe keeps only the grade-0 terms of each level-1 factor: then 15
     lhs terms of grades 1 and 2 fail, and the failures come sorted by grade,
     then weight, not in the lhs insertion order."""
-    computed = characters.demazure_character
+    character = characters._character
 
     def grade_zero_factors(rs, mu, k):
-        char = computed(rs, mu, k)
+        char = characters._decode(character(rs, mu, k), rs.rank)
         return char if k > 1 else GradedCharacter(
             {key: c for key, c in char.terms.items() if key[2] == 0})
 
-    monkeypatch.setattr(characters, "demazure_character", grade_zero_factors)
+    monkeypatch.setattr(characters, "_character",
+                        lambda rs, mu, k: characters._pack(grade_zero_factors(rs, mu, k).terms))
     monkeypatch.setitem(globals(), "demazure_character", grade_zero_factors)
     mu, split = (-3, -1), ((-2, -2), (-1, 1))
     cert = embedding_certificate(A2, mu, split, 1)
@@ -135,7 +149,7 @@ def test_mutating_a_certificate_leaves_the_next_unchanged():
 
 
 def stored_terms():
-    return sum(len(flat) // (rs.rank + 2) for (rs, _, _), flat in characters._memo.items())
+    return sum(len(terms) for _, _, terms in characters._memo.values())
 
 
 def test_memo_stays_within_its_term_bound(monkeypatch):
@@ -154,13 +168,13 @@ def test_character_larger_than_the_bound_is_returned_not_kept(monkeypatch):
     mu, split = (-1, -1), ((-1, 0), (0, -1))
     lhs = demazure_character(G2, mu, 2)
     monkeypatch.setattr(characters, "_MEMO_TERMS", len(lhs.terms) - 1)
-    computed = []
+    computed, character = [], characters._character
 
-    def counted(rs, mu, k):
+    def counted(rs, mu, k, pick=None):
         computed.append((mu, k))
-        return demazure_character(rs, mu, k)
+        return character(rs, mu, k, pick)
 
-    monkeypatch.setattr(characters, "demazure_character", counted)
+    monkeypatch.setattr(characters, "_character", counted)
     for _ in range(2):
         cert = embedding_certificate(G2, mu, split, 1)
         assert list(cert.lhs.terms.items()) == list(lhs.terms.items())

@@ -38,6 +38,15 @@ def test_character_container_basics():
     assert c.scale(3).dimension() == 3
 
 
+def test_subtraction_drops_cancelled_terms():
+    a = GradedCharacter({((1, 0), 2, 0): 3, ((0, 1), 2, 1): -1, ((2, 0), 2, 1): 1})
+    b = GradedCharacter({((0, 1), 2, 1): -1, ((1, 0), 2, 0): 1, ((0, 0), 2, 2): 4})
+    assert list((a - b).terms.items()) == [(((1, 0), 2, 0), 2), (((2, 0), 2, 1), 1),
+                                           (((0, 0), 2, 2), -4)]
+    assert (a - a).terms == {} and (a - GradedCharacter()) == a
+    assert (a - b) + b == a
+
+
 def test_tensor_adds_all_slots():
     a = GradedCharacter.from_weight((1, 0), 1, 2)
     b = GradedCharacter.from_weight((0, -1), 3, 1)

@@ -37,7 +37,7 @@ BAD = {
 }
 
 def character_check(name):
-    apply_word, ch._apply_word = ch._apply_word, lambda rs, word, char: BAD[name]
+    apply_word, ch._apply_word = ch._apply_word, lambda rs, word, char: ch._pack(BAD[name].terms)
     try:
         return ch.demazure_character(A1, MU, K)
     finally:

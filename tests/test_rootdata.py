@@ -39,6 +39,15 @@ def test_a2_all_long():
     assert all(rs.d(r) == 1 for r in rs.positive_roots)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_is_positive_on_roots_and_their_negatives(family, rank):
+    rs = root_system(family, rank)
+    for root in rs.positive_roots:
+        assert root.is_positive
+        assert not Root(tuple(-c for c in root.coords)).is_positive
+    assert Root((0,) * rank).is_positive and not Root((1, -1) + (0,) * (rank - 2)).is_positive
+
+
 def test_c2_lengths_and_pairings():
     rs = root_system("C", 2)
     table = {r.coords: (rs.d(r), rs.coroot_vector(r)) for r in rs.positive_roots}

@@ -66,11 +66,24 @@ def test_product_of_three_matches_chained_reference(data):
     zero, shift = ((0,) * n, 0, 0), data.draw(keys(n))
     chars[0] = reference.tensor(chars[0], GradedCharacter({zero: 1, shift: -1}))
     chars[1] = reference.tensor(chars[1], GradedCharacter({zero: 1, shift: 1}))
-    flats = [tuple(c for (fin, lvl, grade), m in char.terms.items()
-                   for c in (*fin, grade, lvl, m)) for char in chars]
-    got = [((tuple(f[:n]), f[n + 1], f[n]), c) for f, c in characters._product(flats, n + 2)]
+    got = characters._product([characters._pack(char.terms) for char in chars], n)
     want = reference.tensor(reference.tensor(chars[0], chars[1]), chars[2])
-    assert got == list(want.terms.items())
+    assert list(characters._decode(got, n).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("x,y", [(2**31 - 1, 0), (2**30, 2**30), (2**31, -1), (2**62, 2**62),
+                                 (2**63 - 1, 0), (2**63, 1), (2**70, -2**70), (-2**64, 3)])
+def test_tensor_across_field_widths_matches_reference(x, y):
+    """Entries at the edges of 32- and 64-bit fields and past 2^63, where a
+    product needs a wider field than its factors and each is re-packed; the
+    cancelling pairs x(1 - e^s) and y(1 + e^s) of the wide shift still drop."""
+    a = GradedCharacter({((x, -x), x, 0): 2, ((1, 2), 3, -x): -1, ((0, 0), 0, 0): 1})
+    b = GradedCharacter({((y, 1), -y, y): 1, ((1, 0), 1, 1): 3})
+    zero, shift = ((0, 0), 0, 0), ((x, 1), -x, y)
+    cancelling = (reference.tensor(a, GradedCharacter({zero: 1, shift: -1})),
+                  reference.tensor(b, GradedCharacter({zero: 1, shift: 1})))
+    for f, g in ((a, b), (b, a), (a, a), cancelling):
+        assert list(f.tensor(g).terms.items()) == list(reference.tensor(f, g).terms.items())
 
 
 def test_cancelling_products_drop_zero_sums_in_order():
