@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import compress, count, takewhile
 from math import prod
 from operator import add, ge, lshift, mul, sub
-from struct import Struct
+from struct import iter_unpack
 from threading import Lock
 
 from .admissibility import AdmissibilityReport, _fill, is_r_admissible
@@ -140,10 +140,9 @@ def _decode(packed, n: int) -> GradedCharacter:
     half, mask = 1 << width - 1, (1 << width) - 1
     bias = ((1 << (n + 2) * width) - 1) // mask * half  # half in every field
     if width <= 64:
-        row = Struct("<%d%s" % (n + 2, "iq"[width // 64]))
-        size = row.size
-        rows = row.iter_unpack(b"".join([(key + bias ^ bias).to_bytes(size, "little")
-                                         for key in terms]))
+        size = (n + 2) * width // 8
+        rows = iter_unpack("<%d%s" % (n + 2, "iq"[width // 64]), b"".join(
+            [(key + bias ^ bias).to_bytes(size, "little") for key in terms]))
     else:
         shifts = range(0, (n + 2) * width, width)
         rows = (tuple([(key + bias >> s & mask) - half for s in shifts]) for key in terms)

@@ -30,6 +30,7 @@ from math import gcd, lcm, prod
 from .rootdata import RootSystem
 
 _set = object.__setattr__
+_VERTEX_BUDGET = 10 ** 6  # vertices one crystal, product or traversal may hold
 
 
 def _path(den, runs, rank):
@@ -195,16 +196,16 @@ class CrystalGraph:
     highest: Path | None
 
 
-def _reach(starts, step, budget=None) -> list:
+def _reach(starts, step) -> list:
     """Vertices reachable from the distinct ``starts`` through ``step(u)``,
     an iterable of the neighbours of u, in breadth-first discovery order.
-    Raises RuntimeError before a vertex past ``budget`` would be added."""
-    order = list(starts)
+    Raises RuntimeError before a vertex past ``_VERTEX_BUDGET`` would be added."""
+    order, budget = list(starts), _VERTEX_BUDGET
     seen = set(order)
     for u in order:  # order grows while it is read: it is the queue
         for v in step(u):
             if v not in seen:
-                if budget is not None and len(seen) >= budget:
+                if len(seen) >= budget:
                     raise RuntimeError("vertex budget exceeded")
                 seen.add(v)
                 order.append(v)
@@ -221,7 +222,7 @@ def _rows(rs, vertices, low=None):
              for v in vertices for s in [_strings(rs, i, v)]] for i in range(1, rs.rank + 1)]
 
 
-def _pairs(rows1, rows2, starts, budget):
+def _pairs(rows1, rows2, starts):
     """The pair rule on pairs (x, y) of vertex numbers of two factors' rows:
     f_i acts on x if phi_i(x) > eps_i(y), else on y; an arrow to -1 is dropped.
     The pairs reachable from ``starts`` in ``_reach``'s order, and the arrows."""
@@ -236,10 +237,10 @@ def _pairs(rows1, rows2, starts, budget):
                 arrows.append((b, c, i))
                 yield c
 
-    return _reach(starts, lower, budget), arrows
+    return _reach(starts, lower), arrows
 
 
-def _fundamental(rs, j, budget):
+def _fundamental(rs, j):
     """B(omega_j) (B(0) for j = 0), its straight path closed under all f_i,
     and its rows; memoised on the root system."""
     memo = vars(rs).setdefault("_fundamental_crystals", {})
@@ -247,7 +248,7 @@ def _fundamental(rs, j, budget):
         nodes, low = range(1, rs.rank + 1), {}  # low[u]: f_1(u), ..., f_rank(u)
         top = Path.straight(int(k == j) for k in nodes)
         order = _reach((top,), lambda u: filter(None, low.setdefault(
-            u, [root_operator_f(rs, i, u) for i in nodes])), budget)
+            u, [root_operator_f(rs, i, u) for i in nodes])))
         rows = _rows(rs, order, low)  # its edges are the rows' f_i entries, in vertex order
         edges = tuple((u, order[f], i) for n, u in enumerate(order)
                       for i, row in enumerate(rows, 1) if (f := row[n][0]) >= 0)
@@ -255,18 +256,18 @@ def _fundamental(rs, j, budget):
     return memo[j]
 
 
-def _product(rs, factors, budget, memo, rows=True):
+def _product(rs, factors, memo, rows=True):
     """The top component of B(omega_j1) * B(omega_j2) * ... for the nodes j
     in ``factors``, in Littelmann's order, searched by ``_pairs`` on the two
     halves' components: its edges (u, v, i) between the numbers of its vertices
     in breadth-first order and (if ``rows``) its rows; memoised in ``memo``."""
     if len(factors) == 1:
-        return None, _fundamental(rs, factors[0], budget)[1]
+        return None, _fundamental(rs, factors[0])[1]
     if factors not in memo:
         half = len(factors) // 2
-        rows1, rows2 = (_product(rs, h, budget, memo)[1]
+        rows1, rows2 = (_product(rs, h, memo)[1]
                         for h in (factors[:half], factors[half:]))
-        order, edges = _pairs(rows1, rows2, ((0, 0),), budget)
+        order, edges = _pairs(rows1, rows2, ((0, 0),))
         index = {v: n for n, v in enumerate(order)}
         edges = [(index[u], index[v], i) for u, v, i in edges]
         memo[factors] = edges, None
@@ -280,7 +281,7 @@ def _product(rs, factors, budget, memo, rows=True):
     return memo[factors]
 
 
-def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
+def build_crystal(rs: RootSystem, lam) -> CrystalGraph:
     """B(lam): the closure of the straight path to ``lam`` under all lowering
     operators, vertices in breadth-first order (nodes 1..rank from each).
 
@@ -294,18 +295,18 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
     order are the closure's; a vertex's path is f_i of its parent's along its
     discovery edge, the first edge that reaches it.  For |lam| <= 1 the
     closure itself is run.  RuntimeError up front when dim V(lam) (Weyl) is
-    over ``budget`` vertices: a count, not a memory bound (A2 (99, 99) is
+    over ``_VERTEX_BUDGET`` vertices: a count, not a memory bound (A2 (99, 99) is
     exactly 10^6 vertices, and its build runs out of a 512 MB address-space cap)."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     rho = (1,) * rs.rank  # prod (lam + rho)(h_alpha) / rho(h_alpha) = dim V(lam)
-    if prod(rs.pairings([c + 1 for c in lam])) > budget * prod(rs.pairings(rho)):
+    if prod(rs.pairings([c + 1 for c in lam])) > _VERTEX_BUDGET * prod(rs.pairings(rho)):
         raise RuntimeError("vertex budget exceeded")
     factors = tuple(j for j, c in enumerate(lam, 1) for _ in range(c))
     if len(factors) <= 1:  # the closure of omega_j, or of omega_0 = 0: one vertex
-        return _fundamental(rs, sum(factors), budget)[0]
-    edges = _product(rs, factors, budget, {}, rows=False)[0]
+        return _fundamental(rs, sum(factors))[0]
+    edges = _product(rs, factors, {}, rows=False)[0]
     paths = [Path.straight(lam)]
     for u, v, i in edges:
         if v == len(paths):  # the discovery edge of v
@@ -314,24 +315,23 @@ def build_crystal(rs: RootSystem, lam, *, budget=10 ** 6) -> CrystalGraph:
                         paths[0])
 
 
-def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph, *,
-                   budget=10 ** 6) -> CrystalGraph:
+def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph) -> CrystalGraph:
     """Concatenation model of the tensor product: vertices are the paths u*v,
     u of b1 outer and v of b2 inner, in Littelmann's order.  The pair rule:
     on a pair (b_1, b_2), f_i acts on b_1 if phi_i(b_1) > eps_i(b_2), else on
     b_2, and the arrow is dropped when that f_i is undefined or not a vertex
     of its factor.  ``build_crystal`` and ``tensor_crystal`` both use it; f_i,
     eps_i and phi_i come from the paths, not the factors' edges.  RuntimeError
-    before any concatenation when the product has over ``budget`` vertices.
+    before any concatenation when the product has over ``_VERTEX_BUDGET`` vertices.
     The order can decide a component (the README's "Conventions" has one)."""
     n1, n2 = len(b1.vertices), len(b2.vertices)
-    if n1 * n2 > budget:
+    if n1 * n2 > _VERTEX_BUDGET:
         raise RuntimeError("vertex budget exceeded")
     verts = [u.concat(v) for u in b1.vertices for v in b2.vertices]
     if len(set(verts)) != n1 * n2:
         raise ValueError("distinct pairs of vertices give equal concatenations")
     _, arrows = _pairs(_rows(rs, b1.vertices), _rows(rs, b2.vertices),
-                       itertools.product(range(n1), range(n2)), budget)
+                       itertools.product(range(n1), range(n2)))
     edges = tuple((verts[x * n2 + y], verts[c * n2 + d], i) for (x, y), (c, d), i in arrows)
     tops = (b1.highest, b2.highest)
     return CrystalGraph(tuple(verts), edges, None if None in tops else tops[0].concat(tops[1]))

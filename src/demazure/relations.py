@@ -41,6 +41,7 @@ from .weights import _signed_positions
 
 _TUPLE_BUDGET = 10**5  # minimal tuples (M) or monomials (Mpp) one relation set may generate
 _VALUE_BUDGET = 10**6  # the cutoffs of one p family, summed
+_SUPPORT_BUDGET = 10**5  # index vectors one s_sets call may generate
 _new = object.__new__
 
 
@@ -345,23 +346,26 @@ def mmmr_classify(fam: PFamily) -> dict:
 # -- divided power supports ------------------------------------------------
 
 def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
-    """Index vectors b >= 0 with sum b_p = r and sum p b_p = s,
-    support restricted to lower <= p < upper.  Sparse ((p, b_p), ...) form."""
+    """Index vectors b >= 0 with sum b_p = r and sum p b_p = s on lower <= p < upper, as
+    sparse ((p, b_p), ...); RuntimeError once over _SUPPORT_BUDGET are generated."""
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
+    out = []
 
-    def rec(p, parts, weight):
-        # the vectors on lower..p, p falling; index 0 takes every part left, and
-        # a branch ends once its parts cannot make up its weight on lower..p
+    def rec(p, parts, weight, tail):
+        # the vectors on lower..p ahead of tail, p falling; index 0 takes every part
+        # left, and a branch ends once its parts cannot make up its weight on lower..p
         if p < lower or p == 0 or weight > parts * p or weight < parts * lower:
             if weight == 0 and (parts == 0 or p == 0 >= lower):
-                yield ((0, parts),) if parts else ()
+                if len(out) == _SUPPORT_BUDGET:
+                    raise RuntimeError("support budget exceeded: %d vectors" % _SUPPORT_BUDGET)
+                out.append(((0, parts),) + tail if parts else tail)
             return
         for b in range(min(parts, weight // p) + 1):
-            for rest in rec(p - 1, parts - b, weight - p * b):
-                yield rest + ((p, b),) if b else rest
+            rec(p - 1, parts - b, weight - p * b, ((p, b),) + tail if b else tail)
 
-    return tuple(sorted(rec(s if upper is None else min(upper, s + 1) - 1, r, s)))
+    rec(s if upper is None else min(upper, s + 1) - 1, r, s, ())
+    return tuple(sorted(out))
 
 
 _VARIANTS = ("plain", "truncated_k", "from_k", "t_shifted")

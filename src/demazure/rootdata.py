@@ -264,6 +264,9 @@ class RootSystem:
                 total = [t + p * c for t, c in zip(total, root.coords)]
         return tuple(total), scale * (1 + sum(self._coroot[self.theta]))
 
+    def __reduce__(self):
+        return root_system, (self.family, self.rank)
+
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from demazure import crystal
 from demazure.characters import (GradedCharacter, demazure_operator,
                                  finite_character, g0_branch)
 from demazure.crystal import (CrystalGraph, Path, build_crystal, component_of,
@@ -144,9 +145,10 @@ def test_build_crystal_rejects_non_dominant():
         build_crystal(A2, (-1, 0))
 
 
-def test_build_crystal_budget():
+def test_build_crystal_budget(monkeypatch):
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 3)
     with pytest.raises(RuntimeError):
-        build_crystal(A2, (1, 1), budget=3)
+        build_crystal(A2, (1, 1))
 
 
 def test_crystal_sizes_match_character_dimensions():
@@ -406,11 +408,13 @@ def test_build_crystal_rejects_wrong_length(lam):
         build_crystal(A2, lam)
 
 
-def test_build_crystal_budget_boundary():
+def test_build_crystal_budget_boundary(monkeypatch):
     # the adjoint crystal of A2 has 8 vertices
-    assert len(build_crystal(A2, (1, 1), budget=8).vertices) == 8
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 8)
+    assert len(build_crystal(A2, (1, 1)).vertices) == 8
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 7)
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
-        build_crystal(A2, (1, 1), budget=7)
+        build_crystal(A2, (1, 1))
 
 
 @pytest.mark.parametrize("family,rank,lam", [
@@ -418,24 +422,45 @@ def test_build_crystal_budget_boundary():
     ("D", 4, (0, 1, 0, 0)), ("F", 4, (0, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
     ("A", 2, (3, 0)), ("B", 3, (0, 2, 1)), ("D", 4, (1, 1, 1, 1)),
     ("E", 6, (1, 0, 0, 0, 0, 1))])
-def test_build_crystal_budget_is_the_dimension(family, rank, lam):
+def test_build_crystal_budget_is_the_dimension(monkeypatch, family, rank, lam):
     # the size check reads Weyl's dimension formula; it must equal the size
     # the search reaches, so the boundary sits exactly at dim V(lam).  A
     # fresh root system has no fundamental crystals yet, so they are built
     # under the same budget
     rs = RootSystem(family, rank)
     size = finite_character(rs, lam).dimension()
-    assert len(build_crystal(rs, lam, budget=size).vertices) == size
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", size)
+    assert len(build_crystal(rs, lam).vertices) == size
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", size - 1)
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
-        build_crystal(RootSystem(family, rank), lam, budget=size - 1)
+        build_crystal(RootSystem(family, rank), lam)
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
-        build_crystal(rs, lam, budget=size - 1)
+        build_crystal(rs, lam)
 
 
-def test_tensor_crystal_budget_boundary():
+def test_tensor_crystal_budget_boundary(monkeypatch):
     # 3 x 3 = 9 product vertices; the check comes before any concatenation
     b1, b2 = build_crystal(A2, (1, 0)), build_crystal(A2, (0, 1))
-    assert len(tensor_crystal(A2, b1, b2, budget=9).vertices) == 9
+    full = tensor_crystal(A2, b1, b2)
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 9)
+    assert len(tensor_crystal(A2, b1, b2).vertices) == 9
+    assert tensor_crystal(A2, b1, b2) == full
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 8)
     with pytest.raises(RuntimeError, match="vertex budget exceeded"):
-        tensor_crystal(A2, b1, b2, budget=8)
-    assert tensor_crystal(A2, b1, b2) == tensor_crystal(A2, b1, b2, budget=9)
+        tensor_crystal(A2, b1, b2)
+
+
+def test_traversals_of_hand_built_graphs_are_bounded(monkeypatch):
+    # a 5-vertex chain built by hand, not by build_crystal: the bound is read
+    # by the traversal itself, so it holds for any graph
+    paths = [Path.straight((k,)) for k in (4, 2, 0, -2, -4)]
+    chain = CrystalGraph(tuple(paths), tuple(zip(paths, paths[1:], [1] * 4)), paths[0])
+    full = component_of(chain, (4,)), crystal_decomposition(chain, (1,))
+    assert len(full[0].vertices) == 5
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 5)
+    assert (component_of(chain, (4,)), crystal_decomposition(chain, (1,))) == full
+    monkeypatch.setattr(crystal, "_VERTEX_BUDGET", 4)
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        component_of(chain, (4,))
+    with pytest.raises(RuntimeError, match="vertex budget exceeded"):
+        crystal_decomposition(chain, (1,))

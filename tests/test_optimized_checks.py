@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import demazure.admissibility as adm
 import demazure.characters as ch
+import demazure.crystal as cr
+import demazure.relations as rel
 from demazure.admissibility import (balanced_split, enumerate_dominant_splits,
                                    find_1_admissible)
 from demazure.crystal import (CrystalGraph, Path, build_crystal, demazure_subcrystal,
@@ -43,25 +45,20 @@ def character_check(name):
     finally:
         ch._apply_word = apply_word
 
-def candidate_check():
-    budget, adm._CANDIDATE_BUDGET = adm._CANDIDATE_BUDGET, 0
+def over_budget(module, name, value, call):
+    """call() with the module's budget constant ``name`` set to value."""
+    budget = getattr(module, name)
+    setattr(module, name, value)
     try:
-        return adm.find_1_admissible(A1, (6,), 3)
+        return call()
     finally:
-        adm._CANDIDATE_BUDGET = budget
+        setattr(module, name, budget)
 
 def list_parts_check():
     want = adm.is_r_admissible(A2, (1, -2), ((0, -1), (1, -1)), 1)
     got = adm.is_r_admissible(A2, [1, -2], [[0, -1], [1, -1]], 1)
     if got != want or repr(got) != repr(want):
         raise RuntimeError("list parts give another report")
-
-def budget_check():
-    budget, ch._TERM_BUDGET = ch._TERM_BUDGET, 0
-    try:
-        return ch.finite_character(A2, (1, 0))
-    finally:
-        ch._TERM_BUDGET = budget
 
 CHECKS = {
     "weight": lambda: Path(((Fraction(1, 2), 0),), 2).weight(),
@@ -87,13 +84,17 @@ CHECKS = {
     "walk-length": lambda: dominance_algorithm(A2, AffineWeight((1,), 1, 0)),
     "family-length": lambda: demazure_p(A2, (1,), 1),
     "simplified-length": lambda: simplified_demazure_relations(A2, (1, 0, 0), 1),
-    "tensor-budget": lambda: tensor_crystal(A2, CrystalGraph((u, v), (), None),
-                                            CrystalGraph((u, w), (), None), budget=3),
-    "character-budget": budget_check,
+    # 2 x 2 product vertices over a budget of 3, before the equal concatenations
+    "tensor-budget": lambda: over_budget(cr, "_VERTEX_BUDGET", 3, lambda: tensor_crystal(
+        A2, CrystalGraph((u, v), (), None), CrystalGraph((u, w), (), None))),
+    "character-budget": lambda: over_budget(ch, "_TERM_BUDGET", 0,
+                                            lambda: ch.finite_character(A2, (1, 0))),
+    "support-budget": lambda: over_budget(rel, "_SUPPORT_BUDGET", 0, lambda: rel.s_sets(2, 2)),
     "enumerate-length": lambda: list(enumerate_dominant_splits(A2, (1,), 2)),
     "tensor-length": lambda: GC.from_weight((1, 0), 1).tensor(GC.from_weight((1,), 1)),
     "tensor-entry": lambda: GC({((Fraction(1, 2),), 1, 0): 1}).tensor(GC.from_weight((1,), 1)),
-    "candidate-budget": candidate_check,
+    "candidate-budget": lambda: over_budget(adm, "_CANDIDATE_BUDGET", 0,
+                                            lambda: adm.find_1_admissible(A1, (6,), 3)),
     "admissible-length": lambda: adm.is_r_admissible(A2, (1, 0), ((1, 0), (0,)), 1),
     "admissible-lists": list_parts_check,
     # D_1 on (10^6) at level 10^6 would emit 10^6 + 1 terms in one application
@@ -134,6 +135,7 @@ def test_invariants_raise_under_python_O():
         "branch-node": "ValueError", "walk-length": "ValueError",
         "family-length": "ValueError", "simplified-length": "ValueError",
         "tensor-budget": "RuntimeError", "character-budget": "RuntimeError",
+        "support-budget": "RuntimeError",
         "unnormalised": "RuntimeError", "negative-grade": "RuntimeError",
         "negative-coefficient": "RuntimeError",
         "enumerate-length": "ValueError", "tensor-length": "ValueError",

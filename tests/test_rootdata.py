@@ -1,9 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from demazure.crystal import build_crystal
+from demazure.relations import demazure_p
 from demazure.rootdata import _NPOS, Root, RootSystem, Weight, root_system
 
 from realizations import oracle_d, oracle_pairing, realization
@@ -248,3 +252,17 @@ def test_root_budget():
         with pytest.raises(ValueError, match="positive roots"):
             root_system(family, rank)
 
+
+
+def test_root_system_pickles_and_copies_as_the_cached_instance():
+    # a p family compares root systems by identity, and the crystal memos kept
+    # on a root system must not ride along in a pickle of what holds it
+    assert pickle.loads(pickle.dumps(RootSystem("A", 3))) is root_system("A", 3)
+    fam = demazure_p(root_system("A", 2), (1, -1), 1)
+    assert pickle.loads(pickle.dumps(fam)) == fam
+    assert copy.deepcopy(fam) == fam
+    rs = RootSystem("A", 3)
+    fam = demazure_p(rs, (1, -1, 0), 1)
+    size = len(pickle.dumps(fam))
+    build_crystal(rs, (2, 1, 1))
+    assert len(pickle.dumps(fam)) == size

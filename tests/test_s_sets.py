@@ -1,16 +1,23 @@
 """``relations.s_sets`` prunes a branch once its parts cannot make up its
 weight: the same vectors as the earlier full walk (``relations_reference``)
 over every r, s <= 12 and every window, and a one-summand answer at a few
-digits returns at once."""
+digits returns at once.  Past ``_SUPPORT_BUDGET`` generated vectors it
+raises, so a large support fails fast instead of running for seconds."""
 
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import demazure
 import relations_reference as reference
+from demazure import relations
 from demazure.relations import s_sets
 from test_cli import _cap_memory
+
+ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
 
 
 def test_s_sets_match_the_full_walk():
@@ -25,9 +32,32 @@ def test_s_sets_match_the_full_walk():
 def test_one_summand_from_k_returns_at_once():
     """x(100, 100) from k = 1 has the one index vector b_1 = 100; the full
     walk visits every partition of 100 and runs past 20 s."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
     script = ("from demazure.relations import expand_x_element\n"
               "print(expand_x_element('from_k', 100, 100, 1))")
-    proc = subprocess.run([sys.executable, "-c", script], env=env, preexec_fn=_cap_memory,
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, "((((1, 100),), ((1, 100),)),)\n"), proc.stderr
+
+
+def test_support_budget_boundary(monkeypatch):
+    # 12 has 77 partitions, all with at most 12 parts
+    want = s_sets(12, 12)
+    assert len(want) == 77
+    monkeypatch.setattr(relations, "_SUPPORT_BUDGET", 77)
+    assert s_sets(12, 12) == want
+    monkeypatch.setattr(relations, "_SUPPORT_BUDGET", 76)
+    with pytest.raises(RuntimeError, match="support budget exceeded"):
+        s_sets(12, 12)
+
+
+def test_large_support_fails_fast():
+    """(60, 60) has 966,467 vectors, about 12 s of work without the budget;
+    the search stops at 10^5 and the process ends in under 2 s."""
+    script = "from demazure.relations import s_sets\ns_sets(60, 60)"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
+                          capture_output=True, text=True, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.endswith("RuntimeError: support budget exceeded: 100000 vectors\n")
+    assert elapsed < 2, elapsed
