@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands mirror the library modules: ``rootdata``, ``dominance``,
-``relations``, ``admissible``, ``split-search``, ``char``, ``embed-check``,
-``crystal`` and ``reproduce``.  JSON output is byte-stable under a fixed
-invocation: keys are sorted and term lists are ordered by (grade, weight).
+Subcommands mirror the library modules, one row each in the ``_COMMANDS``
+table that builds the parser: ``rootdata``, ``dominance``, ``relations``,
+``admissible``, ``split-search``, ``char``, ``embed-check``, ``crystal`` and
+``reproduce``.  JSON output is byte-stable under a fixed invocation: keys are
+sorted and term lists are ordered by (grade, weight).
 
 Exit codes: 0 on success, 1 when a check reports a violation or a search
 finds nothing, 2 on a configuration error.
@@ -53,16 +54,6 @@ def _split_arg(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
-
-
-def _add_system(ap, *, mu=False):
-    ap.add_argument("--type", dest="family", required=True,
-                    choices=["A", "B", "C", "D", "E", "F", "G"],
-                    help="simple type")
-    ap.add_argument("--rank", type=int, required=True)
-    if mu:
-        ap.add_argument("--mu", type=_coords, required=True,
-                        help="weight in fundamental coordinates, e.g. 1,-2")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -275,98 +266,74 @@ def _cmd_reproduce(a, rs) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+_SYSTEM = ((("--type",), dict(dest="family", required=True,
+                              choices=["A", "B", "C", "D", "E", "F", "G"], help="simple type")),
+           (("--rank",), dict(type=int, required=True)))
+_MU = (*_SYSTEM, (("--mu",), dict(type=_coords, required=True,
+                                  help="weight in fundamental coordinates, e.g. 1,-2")))
+
+# one row per subcommand: name, help, handler, options as (flags, add_argument kwargs)
+_COMMANDS = (
+    ("rootdata", "positive roots and pairing table", _cmd_rootdata, _SYSTEM),
+    ("dominance", "walk an affine weight to the dominant chamber", _cmd_dominance, (*_MU,
+        (("--level",), dict(type=int, required=True)),
+        (("--degree",), dict(type=int, default=0)))),
+    ("relations", "relation sets of a presentation", _cmd_relations, (*_MU,
+        (("--preset",), dict(required=True, choices=["demazure", "weyl", "genweyl"])),
+        (("--k",), dict(type=int, default=None)),
+        (("--set",), dict(default="simplified", choices=["M", "Mprime", "Mpp", "simplified"])))),
+    ("admissible", "full admissibility report for one split", _cmd_admissible, (*_MU,
+        (("--split",), dict(type=_split_arg, required=True,
+                            help='parts separated by "|", coords by ",", e.g. "1,1|1,0"')),
+        (("--k",), dict(type=int, default=None,
+                        help="optional cross-check against the part count")),
+        (("--r",), dict(type=int, required=True)))),
+    ("split-search", "enumerate candidate splits of a weight", _cmd_split_search, (*_MU,
+        (("--k",), dict(type=int, required=True)),
+        (("--find-1-admissible",), dict(action="store_true",
+                                        help="print only 1-admissible candidates; "
+                                             "exit 1 when none exist")),
+        (("--first",), dict(action="store_true", help="stop after the first printed candidate")),
+        (("--balanced",), dict(action="store_true", help="print the balanced candidate only")))),
+    ("char", "graded character of one module", _cmd_char, (*_MU,
+        (("--level", "--k"), dict(dest="level", type=int, required=True)),
+        (("--json",), dict(action="store_true")))),
+    ("embed-check", "certify one split against the character bound", _cmd_embed_check, (*_MU,
+        (("--split",), dict(type=_split_arg, required=True)),
+        (("--k",), dict(type=int, default=None)),
+        (("--r",), dict(type=int, required=True)))),
+    ("crystal", "build a path crystal and project it", _cmd_crystal, (*_SYSTEM,
+        (("--lambda",), dict(dest="lam", type=_coords, required=True,
+                             help="dominant highest weight")),
+        (("--word",), dict(type=_word, default=(), help="take the subcrystal of this Weyl word")),
+        (("--tensor",), dict(type=_tensor_arg, action="append", metavar="COORDS[:WORD]",
+                             help="tensor with another crystal, e.g. 0,1:2; repeatable")),
+        (("--component-weight",), dict(type=_coords, default=None,
+                                       help="restrict to the component of this weight")),
+        (("--decompose",), dict(type=_word, default=None, metavar="NODES",
+                                help="also split along arrows with these labels")),
+        (("--dot",), dict(default=None, metavar="FILE",
+                          help='write DOT to FILE ("-" for stdout)')),
+        (("--json",), dict(action="store_true")))),
+    ("reproduce", "re-run the bundled acceptance criteria", _cmd_reproduce, (
+        (("--paper-examples",), dict(action="store_true",
+                                     help="run the worked examples and property grids "
+                                          "(the default and only mode)")),
+        (("--seed",), dict(type=int, default=0,
+                           help="seed for the randomized property criteria")))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demazure",
         description="Exact computations with graded Demazure-type modules.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ap = sub.add_parser("rootdata", help="positive roots and pairing table")
-    _add_system(ap)
-    ap.set_defaults(handler=_cmd_rootdata)
-
-    ap = sub.add_parser("dominance",
-                        help="walk an affine weight to the dominant chamber")
-    _add_system(ap, mu=True)
-    ap.add_argument("--level", type=int, required=True)
-    ap.add_argument("--degree", type=int, default=0)
-    ap.set_defaults(handler=_cmd_dominance)
-
-    ap = sub.add_parser("relations", help="relation sets of a presentation")
-    _add_system(ap, mu=True)
-    ap.add_argument("--preset", required=True,
-                    choices=["demazure", "weyl", "genweyl"])
-    ap.add_argument("--k", type=int, default=None)
-    ap.add_argument("--set", default="simplified",
-                    choices=["M", "Mprime", "Mpp", "simplified"])
-    ap.set_defaults(handler=_cmd_relations)
-
-    ap = sub.add_parser("admissible",
-                        help="full admissibility report for one split")
-    _add_system(ap, mu=True)
-    ap.add_argument("--split", type=_split_arg, required=True,
-                    help='parts separated by "|", coords by ",", '
-                             'e.g. "1,1|1,0"')
-    ap.add_argument("--k", type=int, default=None,
-                    help="optional cross-check against the part count")
-    ap.add_argument("--r", type=int, required=True)
-    ap.set_defaults(handler=_cmd_admissible)
-
-    ap = sub.add_parser("split-search",
-                        help="enumerate candidate splits of a weight")
-    _add_system(ap, mu=True)
-    ap.add_argument("--k", type=int, required=True)
-    ap.add_argument("--find-1-admissible", action="store_true",
-                    help="print only 1-admissible candidates; "
-                             "exit 1 when none exist")
-    ap.add_argument("--first", action="store_true",
-                    help="stop after the first printed candidate")
-    ap.add_argument("--balanced", action="store_true",
-                    help="print the balanced candidate only")
-    ap.set_defaults(handler=_cmd_split_search)
-
-    ap = sub.add_parser("char", help="graded character of one module")
-    _add_system(ap, mu=True)
-    ap.add_argument("--level", "--k", dest="level", type=int, required=True)
-    ap.add_argument("--json", action="store_true")
-    ap.set_defaults(handler=_cmd_char)
-
-    ap = sub.add_parser("embed-check",
-                        help="certify one split against the character bound")
-    _add_system(ap, mu=True)
-    ap.add_argument("--split", type=_split_arg, required=True)
-    ap.add_argument("--k", type=int, default=None)
-    ap.add_argument("--r", type=int, required=True)
-    ap.set_defaults(handler=_cmd_embed_check)
-
-    ap = sub.add_parser("crystal", help="build a path crystal and project it")
-    _add_system(ap)
-    ap.add_argument("--lambda", dest="lam", type=_coords, required=True,
-                    help="dominant highest weight")
-    ap.add_argument("--word", type=_word, default=(),
-                    help="take the subcrystal of this Weyl word")
-    ap.add_argument("--tensor", type=_tensor_arg, action="append",
-                    metavar="COORDS[:WORD]",
-                    help="tensor with another crystal, e.g. 0,1:2; "
-                             "repeatable")
-    ap.add_argument("--component-weight", type=_coords, default=None,
-                    help="restrict to the component of this weight")
-    ap.add_argument("--decompose", type=_word, default=None, metavar="NODES",
-                    help="also split along arrows with these labels")
-    ap.add_argument("--dot", default=None, metavar="FILE",
-                    help='write DOT to FILE ("-" for stdout)')
-    ap.add_argument("--json", action="store_true")
-    ap.set_defaults(handler=_cmd_crystal)
-
-    ap = sub.add_parser("reproduce",
-                        help="re-run the bundled acceptance criteria")
-    ap.add_argument("--paper-examples", action="store_true",
-                    help="run the worked examples and property grids "
-                             "(the default and only mode)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the randomized property criteria")
-    ap.set_defaults(handler=_cmd_reproduce)
-
+    for name, help_text, handler, options in _COMMANDS:
+        ap = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            ap.add_argument(*flags, **kwargs)
+        ap.set_defaults(handler=handler)
     return parser
 
 

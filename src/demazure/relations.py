@@ -350,19 +350,22 @@ def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
     sparse ((p, b_p), ...); RuntimeError once over _SUPPORT_BUDGET are generated."""
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
+    low = max(lower, 0)  # indices are nonnegative
     out = []
 
-    def rec(p, parts, weight, tail):
-        # the vectors on lower..p ahead of tail, p falling; index 0 takes every part
-        # left, and a branch ends once its parts cannot make up its weight on lower..p
-        if p < lower or p == 0 or weight > parts * p or weight < parts * lower:
-            if weight == 0 and (parts == 0 or p == 0 >= lower):
+    def rec(top, parts, weight, tail):
+        # the vectors on low..top ahead of tail; the loop runs p down the indices that
+        # can hold the largest part left, so the depth is the number of indices used
+        if not (parts and weight):
+            if not weight and (not parts or low == 0 <= top):  # index 0 takes every part left
                 if len(out) == _SUPPORT_BUDGET:
                     raise RuntimeError("support budget exceeded: %d vectors" % _SUPPORT_BUDGET)
                 out.append(((0, parts),) + tail if parts else tail)
             return
-        for b in range(min(parts, weight // p) + 1):
-            rec(p - 1, parts - b, weight - p * b, ((p, b),) + tail if b else tail)
+        least = max(low, -(-weight // parts))  # the largest part is at least the mean
+        for p in range(min(top, weight - (parts - 1) * low), least - 1, -1):
+            for b in range(max(1, weight - (p - 1) * parts), min(parts, weight // p) + 1):
+                rec(p - 1, parts - b, weight - p * b, ((p, b),) + tail)
 
     rec(s if upper is None else min(upper, s + 1) - 1, r, s, ())
     return tuple(sorted(out))

@@ -1,8 +1,10 @@
 """``relations.s_sets`` prunes a branch once its parts cannot make up its
 weight: the same vectors as the earlier full walk (``relations_reference``)
 over every r, s <= 12 and every window, and a one-summand answer at a few
-digits returns at once.  Past ``_SUPPORT_BUDGET`` generated vectors it
-raises, so a large support fails fast instead of running for seconds."""
+digits returns at once.  It recurses only on the indices a vector uses, so
+a few parts at a weight in the thousands need no deep recursion.  Past
+``_SUPPORT_BUDGET`` generated vectors it raises, so a large support fails
+fast instead of running for seconds."""
 
 import os
 import subprocess
@@ -37,6 +39,29 @@ def test_one_summand_from_k_returns_at_once():
     proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, "((((1, 100),), ((1, 100),)),)\n"), proc.stderr
+
+
+def _two_parts(s):
+    # b_p = b_q = 1 for p < q with p + q = s, and b_{s/2} = 2 for even s
+    return tuple(sorted([((p, 1), (s - p, 1)) for p in range((s + 1) // 2)]
+                        + [((s // 2, 2),)] * (s % 2 == 0)))
+
+
+@pytest.mark.parametrize("call,size,want", [
+    ("s_sets(1, 2000)", 1, (((2000, 1),),)),
+    ("s_sets(2, 1500)", 751, _two_parts(1500)),
+    ("s_sets(2, 5000)", 2501, _two_parts(5000)),
+    ("expand_x_element('plain', 1, 2000)", 1, ((((2000, 1),), ((2000, 1),)),)),
+])
+def test_few_parts_at_a_large_weight(call, size, want):
+    """The recursion goes only as deep as the indices a vector uses, not one
+    level per index below s, so a few-digit s ends far below Python's
+    recursion limit."""
+    script = "from demazure.relations import expand_x_element, s_sets\nprint(%s)" % call
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "%r\n" % (want,)), proc.stderr
+    assert len(want) == size
 
 
 def test_support_budget_boundary(monkeypatch):
