@@ -186,8 +186,8 @@ def character_operators(seed=0):
             if demazure_operator(rs, i, once) != once:
                 idem_bad += 1
         if rs.rank == 2:
-            word_a, word_b = ((1, 2, 1), (2, 1, 2)) if rs.family == "A" \
-                else ((1, 2, 1, 2), (2, 1, 2, 1))
+            m = (3, 4, 6)[rs.cartan[0][1] * rs.cartan[1][0] - 1]  # a12 a21 = 1, 2, 3
+            word_a, word_b = ((1, 2) * m)[:m], ((2, 1) * m)[:m]
             if _decode(_apply_word(rs, reversed(word_a), c), rs.rank) \
                     != _decode(_apply_word(rs, reversed(word_b), c), rs.rank):
                 braid_bad += 1

@@ -25,7 +25,7 @@ from .crystal import (build_crystal, component_of, crystal_decomposition,
 from .relations import (demazure_p, generalized_weyl_p, relations_M,
                         relations_Mpp, relations_Mprime,
                         simplified_demazure_relations, weyl_p)
-from .rootdata import root_system
+from .rootdata import _FAMILIES, root_system
 from .weights import AffineWeight, dominance_algorithm
 
 
@@ -267,7 +267,7 @@ def _cmd_reproduce(a, rs) -> int:
 # -- parser ------------------------------------------------------------------
 
 _SYSTEM = ((("--type",), dict(dest="family", required=True,
-                              choices=["A", "B", "C", "D", "E", "F", "G"], help="simple type")),
+                              choices=list(_FAMILIES), help="simple type")),
            (("--rank",), dict(type=int, required=True)))
 _MU = (*_SYSTEM, (("--mu",), dict(type=_coords, required=True,
                                   help="weight in fundamental coordinates, e.g. 1,-2")))

@@ -348,6 +348,8 @@ def mmmr_classify(fam: PFamily) -> dict:
 def s_sets(r: int, s: int, lower: int = 0, upper: int | None = None):
     """Index vectors b >= 0 with sum b_p = r and sum p b_p = s on lower <= p < upper, as
     sparse ((p, b_p), ...); RuntimeError once over _SUPPORT_BUDGET are generated."""
+    if type(r) is not int or type(s) is not int:  # not a bool or a float either
+        raise ValueError("r and s must be ints, not %r and %r" % (r, s))
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
     low = max(lower, 0)  # indices are nonnegative

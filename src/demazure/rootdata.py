@@ -1,4 +1,4 @@
-"""Root system tables for the finite simple types A-G.
+"""Root system tables for the finite simple types A-G, one row of ``_FAMILIES`` each.
 
 Conventions used throughout the package:
 
@@ -33,28 +33,27 @@ from operator import mul, sub
 
 Weight = tuple[int, ...]
 
-# positive root counts, used as a guard after the reflection closure
-_NPOS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
 # positive roots a RootSystem may have: A62 (1,953 roots) builds in about 1 s
 _ROOT_BUDGET = 2000
 
-_RANK_OK = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 4,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
+
+def _chain(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+# one row per type: the ranks it has, then as functions of the rank its number of
+# positive roots (the guard after the closure), its diagram edges (0-based) and the
+# lengths d_i = 2/(alpha_i,alpha_i)
+_FAMILIES = {
+    "A": (lambda n: n >= 1, lambda n: n * (n + 1) // 2, _chain, lambda n: (1,) * n),
+    "B": (lambda n: n >= 2, lambda n: n * n, _chain, lambda n: (1,) * (n - 1) + (2,)),
+    "C": (lambda n: n >= 2, lambda n: n * n, _chain, lambda n: (2,) * (n - 1) + (1,)),
+    "D": (lambda n: n >= 4, lambda n: n * (n - 1),
+          lambda n: _chain(n - 1) + [(n - 3, n - 1)], lambda n: (1,) * n),
+    "E": (lambda n: n in (6, 7, 8), lambda n: {6: 36, 7: 63, 8: 120}[n],
+          lambda n: [(0, 2), *_chain(n)[2:], (1, 3)], lambda n: (1,) * n),
+    "F": (lambda n: n == 4, lambda n: 24, _chain, lambda n: (1, 1, 2, 2)),
+    "G": (lambda n: n == 2, lambda n: 6, _chain, lambda n: (3, 1)),
 }
 
 
@@ -84,27 +83,12 @@ class Root:
 
 def _dynkin(family: str, rank: int) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """Diagram edges (0-based) and the length data d_i = 2/(alpha_i,alpha_i)."""
-    if family not in _RANK_OK:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not _RANK_OK[family](rank):
+    ranks_ok, _, edges, d = _FAMILIES[family]
+    if type(rank) is not int or not ranks_ok(rank):  # not a bool or a float either
         raise ValueError(f"rank {rank} invalid for family {family}")
-    chain = [(i, i + 1) for i in range(rank - 1)]
-    if family == "A":
-        return chain, (1,) * rank
-    if family == "B":
-        return chain, (1,) * (rank - 1) + (2,)
-    if family == "C":
-        return chain, (2,) * (rank - 1) + (1,)
-    if family == "D":
-        return chain[:-1] + [(rank - 3, rank - 1)], (1,) * rank
-    if family == "E":
-        # chain 1-3-4-5-..., node 2 attached to node 4 (1-based)
-        spine = [0, 2] + list(range(3, rank))
-        edges = [(spine[i], spine[i + 1]) for i in range(len(spine) - 1)]
-        return edges + [(1, 3)], (1,) * rank
-    if family == "F":
-        return chain, (1, 1, 2, 2)
-    return chain, (3, 1)  # G2
+    return edges(rank), d(rank)
 
 
 def _cartan(edges: list[tuple[int, int]], d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +106,7 @@ class RootSystem:
 
     def __init__(self, family: str, rank: int):
         edges, d_simple = _dynkin(family, rank)
-        npos = _NPOS[family](rank)
+        npos = _FAMILIES[family][1](rank)
         if npos > _ROOT_BUDGET:
             raise ValueError(f"{family}{rank} has {npos} positive roots, more than the "
                              f"budget of {_ROOT_BUDGET}")
@@ -138,7 +122,7 @@ class RootSystem:
         positive root, so every positive root is reached.  A reflected root
         keeps the length d of the root it came from."""
         n, a, ds = self.rank, self.cartan, self.d_simple
-        expected = _NPOS[self.family](n)
+        expected = _FAMILIES[self.family][1](n)
         found = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         d = dict(zip(found, ds))
         for m in found:  # found grows while it is read
@@ -271,7 +255,7 @@ class RootSystem:
         return f"RootSystem({self.family}{self.rank})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_system(family: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given family and rank."""
     return RootSystem(family, rank)

@@ -1,0 +1,28 @@
+"""One child Python process under a 512 MB address-space cap, for the tests
+that check a large input ends in bounded time and memory: a regression fails
+there instead of stalling the suite or filling the machine's memory."""
+
+import os
+import resource
+import subprocess
+import sys
+import time
+
+import demazure
+
+ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
+CAP_BYTES = 512 * 2**20
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+
+def run_capped(*args, timeout):
+    """``python *args``, as ``-m demazure ...`` or ``-c script``, with this
+    package first on the path and under the cap: (completed process, wall
+    seconds)."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], env=ENV, preexec_fn=_cap_memory,
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.perf_counter() - start

@@ -1,6 +1,5 @@
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -10,6 +9,8 @@ import pytest
 import demazure
 from demazure import characters
 from demazure.cli import main
+
+from capped_run import run_capped
 
 
 def run(capsys, *argv):
@@ -362,10 +363,6 @@ def test_tensor_over_budget_exits_2_fast(capsys):
     assert elapsed < 2
 
 
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
-
-
 @pytest.mark.parametrize("argv,code,out", [
     pytest.param(("split-search", "--type", "A", "--rank", "1", "--mu", "100000",
                   "--k", "3", "--first"), 0,
@@ -381,11 +378,7 @@ def _cap_memory():
 def test_large_inputs_end_in_bounded_time_and_memory(argv, code, out):
     """Each call in a subprocess under a wall-clock timeout and a 512 MB
     address-space cap, so a regression fails here instead of stalling."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "demazure", *argv], env=env,
-                          preexec_fn=_cap_memory, capture_output=True, text=True,
-                          timeout=30)
+    proc, _ = run_capped("-m", "demazure", *argv, timeout=30)
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
     if code == 2:
         assert proc.stderr == "error: vertex budget exceeded\n"
@@ -395,12 +388,8 @@ def test_find_1_admissible_search_fails_fast():
     """A1 mu = 100000 in three parts has its first 1-admissible candidate
     after about 2.2*10^9 failed ones; the search stops at the budget of 10^5
     failed candidates in a row and exits 2 within seconds."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "demazure", "split-search", "--type", "A",
-                           "--rank", "1", "--mu", "100000", "--k", "3",
-                           "--find-1-admissible"], env=env, preexec_fn=_cap_memory,
-                          capture_output=True, text=True, timeout=30)
+    proc, _ = run_capped("-m", "demazure", "split-search", "--type", "A", "--rank", "1",
+                         "--mu", "100000", "--k", "3", "--find-1-admissible", timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: candidate budget exceeded: 100000 candidates in a row "
                            "are not 1-admissible\n")

@@ -1,13 +1,6 @@
 """Properties of the relation sets on bounded random presentations
 (hypothesis), and the fail-fast tuple and value budgets under a memory cap."""
 
-import os
-import resource
-import subprocess
-import sys
-import time
-from pathlib import Path
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,11 +9,11 @@ from demazure.relations import (Relation, demazure_p, generalized_weyl_p,
                                 relations_M, relations_Mpp, relations_Mprime,
                                 simplified_demazure_relations, weyl_p)
 from demazure.rootdata import root_system
+from capped_run import run_capped
 from relations_reference import _relation_sort_key
 
 SYSTEMS = [root_system(f, n) for f, n in (("A", 1), ("A", 2), ("B", 2), ("C", 2),
                                           ("G", 2), ("A", 3), ("B", 3))]
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @st.composite
@@ -78,19 +71,11 @@ def test_mprime_and_mpp_monomials_lie_in_m(case):
         and 1 <= r.index <= fam.pfunction(r.root, r.sign).cutoff) <= _monomial_keys(m)
 
 
-def _cap_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
-
-
 def _relations_capped(*args):
     """`demazure relations --type A --rank 1 *args` in a subprocess under the
     512 MB address-space cap: (completed process, wall seconds)."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "demazure", "relations", "--type", "A", "--rank", "1",
-         *args], env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=_cap_memory,
-        capture_output=True, text=True, timeout=120)
-    return proc, time.perf_counter() - start
+    return run_capped("-m", "demazure", "relations", "--type", "A", "--rank", "1", *args,
+                      timeout=120)
 
 
 def test_m_budget_fails_fast_in_bounded_memory():

@@ -8,8 +8,9 @@ import pytest
 
 from demazure.crystal import build_crystal
 from demazure.relations import demazure_p
-from demazure.rootdata import _NPOS, Root, RootSystem, Weight, root_system
+from demazure.rootdata import _FAMILIES, Root, RootSystem, Weight, root_system
 
+from capped_run import run_capped
 from realizations import oracle_d, oracle_pairing, realization
 
 COUNTS = [
@@ -35,6 +36,31 @@ def test_positive_root_counts(family, rank, npos):
 def test_rank_validation(family, rank):
     with pytest.raises(ValueError):
         root_system(family, rank)
+
+
+RANK_CALLS = ['RootSystem("A", 2.5)', 'RootSystem("B", 2.0)', 'RootSystem("A", True)',
+              'root_system("A", True)']
+REFUSALS = ["rank 2.5 invalid for family A", "rank 2.0 invalid for family B",
+            "rank True invalid for family A", "rank True invalid for family A"]
+
+
+def test_rank_must_be_an_int():
+    """A float or bool rank raises the rank ValueError, in a fresh process so
+    that the first pass runs before root_system("A", 1) is cached: rank True
+    must neither build a RootSystem nor hand back the cached A1."""
+    script = ("from demazure.rootdata import RootSystem, root_system\n"
+              "def refusal(call):\n"
+              "    try:\n"
+              "        return repr(eval(call))\n"
+              "    except ValueError as exc:\n"
+              "        return str(exc)\n"
+              "calls = %r\n"
+              "first = [refusal(call) for call in calls]\n"
+              "root_system('A', 1)\n"
+              "print(first + [refusal(call) for call in calls])" % RANK_CALLS)
+    proc, _ = run_capped("-c", script, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%r\n" % (REFUSALS * 2)
 
 
 def test_a2_all_long():
@@ -184,7 +210,7 @@ class FractionClosureRootSystem(RootSystem):
                 raise AssertionError(f"mixed-sign root {m}")
         pos = sorted((m for m in seen if all(c >= 0 for c in m)),
                      key=lambda m: (sum(m), m))
-        expected = _NPOS[self.family](n)
+        expected = _FAMILIES[self.family][1](n)
         if len(pos) != expected or len(seen) != 2 * expected:
             raise AssertionError(
                 f"{self.family}{n}: {len(pos)} positive roots, expected {expected}")

@@ -6,20 +6,12 @@ a few parts at a weight in the thousands need no deep recursion.  Past
 ``_SUPPORT_BUDGET`` generated vectors it raises, so a large support fails
 fast instead of running for seconds."""
 
-import os
-import subprocess
-import sys
-import time
-
 import pytest
 
-import demazure
 import relations_reference as reference
+from capped_run import run_capped
 from demazure import relations
-from demazure.relations import s_sets
-from test_cli import _cap_memory
-
-ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
+from demazure.relations import expand_x_element, s_sets
 
 
 def test_s_sets_match_the_full_walk():
@@ -36,8 +28,7 @@ def test_one_summand_from_k_returns_at_once():
     walk visits every partition of 100 and runs past 20 s."""
     script = ("from demazure.relations import expand_x_element\n"
               "print(expand_x_element('from_k', 100, 100, 1))")
-    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
-                          capture_output=True, text=True, timeout=10)
+    proc, _ = run_capped("-c", script, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, "((((1, 100),), ((1, 100),)),)\n"), proc.stderr
 
 
@@ -58,10 +49,23 @@ def test_few_parts_at_a_large_weight(call, size, want):
     level per index below s, so a few-digit s ends far below Python's
     recursion limit."""
     script = "from demazure.relations import expand_x_element, s_sets\nprint(%s)" % call
-    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
-                          capture_output=True, text=True, timeout=10)
+    proc, _ = run_capped("-c", script, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, "%r\n" % (want,)), proc.stderr
     assert len(want) == size
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (s_sets, (2.0, 4), "r and s must be ints, not 2.0 and 4"),
+    (s_sets, (1, 2.5), "r and s must be ints, not 1 and 2.5"),
+    (s_sets, (True, 1), "r and s must be ints, not True and 1"),
+    (expand_x_element, ("plain", 2.0, 4), "r and s must be ints, not 2.0 and 4"),
+    (s_sets, (-1, 2), "r and s must be nonnegative"),
+], ids=["float-r", "float-s", "bool-r", "expand-float-r", "negative-r"])
+def test_sizes_are_nonnegative_ints(call, args, message):
+    # a float must not reach range(), and True must not pass as 1
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert str(exc.value) == message
 
 
 def test_support_budget_boundary(monkeypatch):
@@ -79,10 +83,7 @@ def test_large_support_fails_fast():
     """(60, 60) has 966,467 vectors, about 12 s of work without the budget;
     the search stops at 10^5 and the process ends in under 2 s."""
     script = "from demazure.relations import s_sets\ns_sets(60, 60)"
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script], env=ENV, preexec_fn=_cap_memory,
-                          capture_output=True, text=True, timeout=10)
-    elapsed = time.perf_counter() - start
+    proc, elapsed = run_capped("-c", script, timeout=10)
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert proc.stderr.endswith("RuntimeError: support budget exceeded: 100000 vectors\n")
     assert elapsed < 2, elapsed
