@@ -9,14 +9,16 @@ zigzag that backtracks is a different path from its net displacement.
 
 For a node i let h(t) be the i-th coordinate of the path (its pairing with
 the coroot of alpha_i), an integer at each corner in units of 1/D, and
-M = min h.  The lowering operator f_i is defined iff h(1) - M >= 1; it
-reflects the runs by s_i between the last corner where h = M and the first
-point afterwards where h = M + 1, splitting a run at that crossing; when
-the crossing is not a multiple of 1/D, that path's D is scaled up, so the
-operators are exact on any rational path.  The raising operator e_i is the
-mirror image, f_i conjugated by the reversal pi(t) -> pi(1-t) - pi(1).
-Both reject paths whose h dips inside the working window, which cannot
-happen for paths generated from a straight dominant path.
+M = min h.  One scan of the runs gives M, the last corner where h = M and
+h(1); f_i, e_i, eps_i = -M and phi_i = h(1) - M all start from it.  The
+lowering operator f_i is defined iff h(1) - M >= 1; it reflects the runs by
+s_i between that last corner and the first point afterwards where h = M + 1,
+splitting a run at that crossing; when the crossing is not a multiple of
+1/D, that path's D is scaled up, so the operators are exact on any rational
+path.  The raising operator e_i is the mirror image, f_i conjugated by the
+reversal pi(t) -> pi(1-t) - pi(1).  Both reject paths whose h dips inside
+the working window, which cannot happen for paths generated from a straight
+dominant path.
 """
 
 from __future__ import annotations
@@ -114,10 +116,15 @@ def _reversed(path):
                  path.rank)
 
 
-def _heights(rs, i, path):
-    """h at the corners, in units of 1/den."""
+def _scan(rs, i, path):
+    """(M, the last corner where h = M, h(1)), in units of 1/den, in one pass."""
     rs.check_node(i)
-    return list(itertools.accumulate([n * d[i - 1] for n, d in path.runs], initial=0))
+    k, h, m, t = i - 1, 0, 0, 0
+    for j, (n, d) in enumerate(path.runs, 1):
+        h += n * d[k]
+        if h <= m:
+            m, t = h, j
+    return m, t, h
 
 
 def _ratio(num, den):
@@ -125,10 +132,10 @@ def _ratio(num, den):
 
 
 def _strings(rs, i, path):
-    """(eps_i, phi_i) from one pass over h: -min h and h(1) - min h, ints unless
-    h is off the integers (never on a crystal vertex), then Fractions."""
-    h = _heights(rs, i, path)
-    return _ratio(-(m := min(h)), path.den), _ratio(h[-1] - m, path.den)
+    """(eps_i, phi_i) = (-M, h(1) - M) from one ``_scan``: ints unless h is
+    off the integers (never on a crystal vertex), then Fractions."""
+    m, _, end = _scan(rs, i, path)
+    return _ratio(-m, path.den), _ratio(end - m, path.den)
 
 
 def phi(rs: RootSystem, i: int, path: Path):
@@ -140,40 +147,33 @@ def eps(rs: RootSystem, i: int, path: Path):
     return _strings(rs, i, path)[0]
 
 
-def _reflect(rs, i, d):
-    """s_i on a direction, memoised on the root system: paths reuse few
-    directions, and s_i keeps them primitive."""
-    memo = vars(rs).setdefault("_path_reflections", {})
-    if (i, d) not in memo:
-        memo[i, d] = rs.reflect(i, d)
-    return memo[i, d]
-
-
 def _lower(rs, i, path, dip):
-    """f_i; ``dip`` is the error for a window that dips."""
+    """f_i; ``dip`` is the error for a window that dips.  s_i of a direction is
+    memoised on the root system: paths reuse few, and s_i keeps them primitive."""
+    m, t1, end = _scan(rs, i, path)
     den, runs, k = path.den, path.runs, i - 1
-    h = _heights(rs, i, path)
-    m = min(h)
-    if h[-1] - m < den:
+    if end - m < den:
         return None
-    t1 = len(h) - 1 - h[::-1].index(m)
-    target = m + den
+    memo = vars(rs).setdefault("_path_reflections", {})
+    h, target = m, m + den  # h: the height where run j starts
     new = list(runs[:t1])
     for j in range(t1, len(runs)):
         n, d = runs[j]
-        if h[j + 1] < h[j]:
+        if (step := n * d[k]) < 0:
             raise ValueError(dip)
-        if h[j + 1] < target:
-            new.append((n, _reflect(rs, i, d)))
+        r = memo.get((i, d)) or memo.setdefault((i, d), rs.reflect(i, d))
+        if h + step < target:
+            new.append((n, r))
+            h += step
             continue
         # h crosses M + 1 at x/d[k] into this run; scale den to make that whole
-        x, rest = target - h[j], runs[j + 1:]
+        x, rest = target - h, runs[j + 1:]
         s = d[k] // gcd(d[k], x)
         if s > 1:
             den, n, x = den * s, n * s, x * s
             new = [(c * s, e) for c, e in new]
             rest = [(c * s, e) for c, e in rest]
-        new.append((x // d[k], _reflect(rs, i, d)))
+        new.append((x // d[k], r))
         if n > x // d[k]:
             new.append((n - x // d[k], d))
         new.extend(rest)
@@ -437,10 +437,10 @@ def crystal_decomposition(b: CrystalGraph, nodes):
     """Split the graph along arrows labeled by ``nodes`` and report each
     component by the weight of its unique source (restricted to the nodes),
     its vertex count, and its multiplicity."""
-    nodes = tuple(sorted(set(nodes)))
-    for i in nodes:
-        if b.vertices and not 1 <= i <= b.vertices[0].rank:
+    for i in (nodes := tuple(nodes)):  # each node, before True == 1 merges them
+        if b.vertices and (type(i) is not int or not 1 <= i <= b.vertices[0].rank):
             raise ValueError("node %r is not a finite node" % (i,))
+    nodes = tuple(sorted(set(nodes)))
     fb = filter_arrows(b, nodes)
     incoming = collections.Counter(v for _, v, _ in fb.edges)
     pieces = collections.Counter()

@@ -171,8 +171,8 @@ class RootSystem:
     # -- basic queries ----------------------------------------------------
 
     def check_node(self, i: int) -> int:
-        """i itself; ValueError unless it is a finite node, 1..rank."""
-        if not 1 <= i <= self.rank:
+        """i itself; ValueError unless it is a finite node: an int in 1..rank, not a bool."""
+        if type(i) is not int or not 1 <= i <= self.rank:
             raise ValueError("node %r is not a finite node" % (i,))
         return i
 

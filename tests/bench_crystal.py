@@ -14,12 +14,20 @@ The tensor timings take ``tensor_crystal`` of two crystals plus
 ``component_of`` the top weight, beside ``build_crystal`` of that top weight,
 which finds the same component by the pair search from its top pair alone.
 The factors are built before the timing.
+
+The operator timings take one ``root_operator_f`` call per (vertex, node) of
+D4 (1,1,1,1), 16,384 calls, and one per discovery edge of that crystal (the
+first edge into each vertex, the call ``build_crystal`` makes), 4,095 calls,
+for the package's operator and for the Fraction one kept in
+``fraction_crystal``, a fixed yardstick across commits; ``extra_info["calls"]``
+holds the count, so a round's time over it is the time of one call.
 """
 
 import pytest
 
+import fraction_crystal
 import path_closure_reference as reference
-from demazure.crystal import build_crystal, component_of, tensor_crystal
+from demazure.crystal import build_crystal, component_of, root_operator_f, tensor_crystal
 from demazure.rootdata import root_system
 
 WEIGHTS = [("A", 2, (n, n)) for n in (2, 4, 8, 12)] + [("B", 3, (0, 2, 1)),
@@ -59,3 +67,34 @@ def test_tensor_component(benchmark, how, family, rank, lam, nu):
         benchmark(build_crystal, rs, top)
     else:
         benchmark(tensor_component, rs, b1, b2, top)
+
+
+def operator_calls(b, which):
+    """(node, vertex) for every pair, or for the discovery edge of each vertex."""
+    if which == "every":
+        return [(i, v) for v in b.vertices for i in range(1, b.vertices[0].rank + 1)]
+    seen, calls = {b.highest}, []
+    for u, v, i in b.edges:
+        if v not in seen:
+            seen.add(v)
+            calls.append((i, u))
+    return calls
+
+
+@pytest.mark.parametrize("how", ("package", "fraction"))
+@pytest.mark.parametrize("which", ("every", "discovery"))
+def test_root_operator_f(benchmark, how, which):
+    rs = root_system("D", 4)
+    calls = operator_calls(build_crystal(rs, (1, 1, 1, 1)), which)
+    assert len(calls) == {"every": 4 * 4096, "discovery": 4095}[which]
+    operator = root_operator_f
+    if how == "fraction":
+        operator = fraction_crystal.root_operator_f
+        calls = [(i, fraction_crystal.Path(v.steps, v.rank)) for i, v in calls]
+    benchmark.extra_info["calls"] = len(calls)
+
+    def run():  # each result is dropped at once, so no pile of new paths wakes the collector
+        for i, v in calls:
+            operator(rs, i, v)
+
+    benchmark(run)

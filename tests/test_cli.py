@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
-import sys
 import time
 
 import pytest
 
-import demazure
 from demazure import characters
 from demazure.cli import main
 
@@ -100,11 +96,8 @@ def test_char_one_application_budget_exits_2(capsys):
 
 @pytest.mark.parametrize("factor", ["x", "1,0:x"])
 def test_crystal_malformed_tensor_exits_2(factor):
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(demazure.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "demazure", "crystal", "--type", "A",
-                           "--rank", "2", "--lambda", "1,0", "--tensor", factor],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_capped("-m", "demazure", "crystal", "--type", "A", "--rank", "2",
+                      "--lambda", "1,0", "--tensor", factor, timeout=60)[0]
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

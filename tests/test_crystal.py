@@ -337,6 +337,20 @@ def test_decomposition_rejects_nodes_outside_rank(node):
         crystal_decomposition(b, (1, node))
 
 
+# True and 1.0 equal node 1 but are not nodes; the checks ask for an int
+@pytest.mark.parametrize("call", [
+    lambda: root_operator_f(A2, True, Path.straight((1, 0))),
+    lambda: root_operator_f(A2, 1.0, Path.straight((1, 0))),
+    lambda: crystal_decomposition(build_crystal(A2, (1, 1)), (True,)),
+    lambda: crystal_decomposition(build_crystal(A2, (1, 1)), (1, True)),
+    lambda: crystal_decomposition(build_crystal(A2, (1, 1)), (1, 1.0)),
+], ids=["f-bool", "f-float", "decomposition-bool", "decomposition-1-bool",
+        "decomposition-1-float"])
+def test_bool_and_float_nodes_are_rejected(call):
+    with pytest.raises(ValueError, match="is not a finite node"):
+        call()
+
+
 def test_decomposition_full_nodes_single_component():
     b = build_crystal(A2, (2, 1))
     assert [(p.weight, p.size, p.count)

@@ -2,6 +2,7 @@
 Fraction implementation, kept verbatim in ``fraction_crystal``."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,25 +27,31 @@ def same_graph(new, old):
     assert crystal.to_dot(new) == ref.to_dot(old)
 
 
-def same_operators(rs, path):
-    """phi, eps, e_i and f_i agree on one path, including raised errors."""
+def outcome(op, rs, i, path):
+    """op(rs, i, path), or the type and text of the exception it raises."""
+    try:
+        return op(rs, i, path)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+OPERATORS = [(crystal.phi, ref.phi), (crystal.eps, ref.eps),
+             (crystal.root_operator_e, ref.root_operator_e),
+             (crystal.root_operator_f, ref.root_operator_f)]
+
+
+def same_operators(rs, path, nodes=None, operators=OPERATORS):
+    """phi, eps, e_i and f_i agree on one path, at every node and by default
+    at -1, 0 and rank + 1 too, including the type and text of raised errors."""
     old = ref.Path(path.steps, path.rank)
-    for i in range(1, rs.rank + 1):
-        assert crystal.phi(rs, i, path) == ref.phi(rs, i, old)
-        assert crystal.eps(rs, i, path) == ref.eps(rs, i, old)
-        for new_op, old_op in [(crystal.root_operator_e, ref.root_operator_e),
-                               (crystal.root_operator_f, ref.root_operator_f)]:
-            try:
-                want = old_op(rs, i, old)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    new_op(rs, i, path)
-                continue
-            got = new_op(rs, i, path)
-            assert (got is None) == (want is None)
-            if got is not None:
+    for i in nodes or range(-1, rs.rank + 2):
+        for new_op, old_op in operators:
+            got, want = outcome(new_op, rs, i, path), outcome(old_op, rs, i, old)
+            if isinstance(want, ref.Path):
                 assert got.steps == want.steps
                 assert got == crystal.Path(want.steps, rs.rank)
+            else:
+                assert got == want
 
 
 @pytest.mark.parametrize("family,rank,lam", GRID + SMALL,
@@ -58,6 +65,17 @@ def test_build_crystal_matches_fraction_reference(family, rank, lam):
         for v in new.vertices:
             same_operators(rs, v)
             assert isinstance(crystal.phi(rs, 1, v), int)
+
+
+@pytest.mark.parametrize("family,rank,lam", [("G", 2, (2, 2)), ("D", 4, (1, 1, 1, 1))])
+def test_every_vertex_and_node_matches_fraction_reference(family, rank, lam):
+    """The operators on every vertex of a crystal too large for the graph test;
+    on D4 only f_i, the operator ``build_crystal`` calls, as the reference's
+    other three would double the time of the test."""
+    rs = root_system(family, rank)
+    operators = OPERATORS[3:] if family == "D" else OPERATORS
+    for v in crystal.build_crystal(rs, lam).vertices:
+        same_operators(rs, v, range(1, rank + 1), operators)
 
 
 def factor(mod, rs, lam, word=None, nodes=None):
@@ -124,6 +142,16 @@ HANDMADE = [
     ("A", 1, ((Fraction(1, 2),), (Fraction(-2, 1),), (Fraction(5, 2),))),
     ("A", 3, ((Fraction(1, 2), 0, Fraction(-1, 3)), (0, Fraction(5, 4), 0),
               (Fraction(-3, 2), 1, 1))),
+    # h_1 rises by 2 in one run, so f_1 crosses M + 1 half-way in and den doubles
+    ("A", 2, ((2, -1),)),
+    ("A", 2, ((-2, 1),)),
+    ("A", 2, ((Fraction(1, 3), Fraction(2, 3)), (Fraction(5, 3), -1))),
+    ("A", 2, ((1, 0), (Fraction(-3, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(-3, 2)))),
+    ("G", 2, ((3, -1),)),
+    ("G", 2, ((Fraction(2, 3), Fraction(1, 3)), (1, -2))),
+    # h dips inside the window: f_1 of the first and e_1 of the second raise
+    ("A", 1, ((Fraction(1, 2),), (Fraction(-1, 4),), (1,))),
+    ("A", 1, ((-1,), (Fraction(1, 4),), (Fraction(-1, 2),))),
 ]
 
 
@@ -148,6 +176,27 @@ def test_rational_paths_match_fraction_reference(family, rank, steps):
                 if p is None:
                     break
                 same_operators(rs, p)
+
+
+def test_windows_that_dip_and_crossings_off_the_grid():
+    a1, a2 = root_system("A", 1), root_system("A", 2)
+    up = crystal.Path(((Fraction(1, 2),), (Fraction(-1, 4),), (1,)), 1)
+    down = crystal.Path(((-1,), (Fraction(1, 4),), (Fraction(-1, 2),)), 1)
+    assert outcome(crystal.root_operator_f, a1, 1, up) == (
+        ValueError, "descent inside the lowering window")
+    assert outcome(crystal.root_operator_e, a1, 1, down) == (
+        ValueError, "ascent inside the raising window")
+    f = crystal.root_operator_f(a2, 1, crystal.Path.straight((2, -1)))
+    assert (f.den, f.runs) == (2, ((1, (-2, 1)), (1, (2, -1))))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2), ("B", 3)])
+def test_random_rational_paths_match_fraction_reference(family, rank):
+    rs, rng = root_system(family, rank), random.Random(rank * 31 + ord(family))
+    for _ in range(150):
+        steps = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rank)]
+                 for _ in range(rng.randint(1, 5))]
+        same_operators(rs, crystal.Path(steps, rank))
 
 
 def test_equal_lines_are_equal_paths():

@@ -1,13 +1,7 @@
 """Library invariants raise real exceptions, so they hold under ``python -O``,
 which strips ``assert`` statements."""
 
-import os
-import subprocess
-import sys
-
-import demazure
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(demazure.__file__)))
+from capped_run import run_capped
 
 # each check runs in the -O interpreter and prints "<name> <exception type>"
 SCRIPT = r'''
@@ -118,10 +112,9 @@ for name, check in CHECKS.items():
 
 
 def test_invariants_raise_under_python_O():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=60, check=True).stdout
-    got = dict(line.split() for line in out.splitlines())
+    proc = run_capped("-O", "-c", SCRIPT, timeout=60)[0]
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split() for line in proc.stdout.splitlines())
     assert got == {
         "optimize": "1",
         "weight": "ValueError", "concat": "ValueError",

@@ -184,6 +184,16 @@ def test_simple_root_accessor_bounds():
         rs.simple_root(3)
 
 
+# True and 1.0 equal node 1 but are not nodes; the check asks for an int
+@pytest.mark.parametrize("call", [
+    lambda rs: rs.simple_root(True), lambda rs: rs.simple_root(1.0),
+    lambda rs: rs.reflect(True, (1, 0)), lambda rs: rs.reflect(1.0, (1, 0)),
+], ids=["simple-root-bool", "simple-root-float", "reflect-bool", "reflect-float"])
+def test_bool_and_float_nodes_are_rejected(call):
+    with pytest.raises(ValueError, match="is not a finite node"):
+        call(root_system("A", 2))
+
+
 class FractionClosureRootSystem(RootSystem):
     """The root system with the earlier closure: all roots of both signs,
     then lengths from a Fraction norm.  ``_close`` is kept verbatim as the
