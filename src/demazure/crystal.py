@@ -3,31 +3,29 @@
 A path is a broken line in fundamental-weight coordinates, held exactly in
 integers: a denominator D > 0 and runs (n, d) of length n > 0 and primitive
 direction d, each displacing by n*d/D.  Runs of equal direction are merged
-and D is reduced against the lengths, so two paths are equal exactly when
-they trace the same broken line.  Opposite directions are never merged: a
-zigzag that backtracks is a different path from its net displacement.
+and D is reduced, so two paths are equal exactly when their lines are.
 
-For a node i let h(t) be the i-th coordinate of the path (its pairing with
-the coroot of alpha_i), an integer at each corner in units of 1/D, and
-M = min h.  One scan of the runs gives M, the last corner where h = M and
-h(1); f_i, e_i, eps_i = -M and phi_i = h(1) - M all start from it.  The
-lowering operator f_i is defined iff h(1) - M >= 1; it reflects the runs by
-s_i between that last corner and the first point afterwards where h = M + 1,
-splitting a run at that crossing; when the crossing is not a multiple of
-1/D, that path's D is scaled up, so the operators are exact on any rational
-path.  The raising operator e_i is the mirror image, f_i conjugated by the
-reversal pi(t) -> pi(1-t) - pi(1).  Both reject paths whose h dips inside
-the working window, which cannot happen for paths generated from a straight
-dominant path.
+For a node i let h(t) be the i-th coordinate of the path (an integer at each
+corner, in units of 1/D) and M = min h.  One scan of the runs gives M, the last
+corner where h = M, and h(1): eps_i = -M and phi_i = h(1) - M.  f_i, defined iff
+phi_i >= 1, reflects by s_i the runs from that corner to the first point after
+it where h = M + 1, splitting a run there (D grows if that point needs it).
+e_i is f_i conjugated by the reversal pi(t) -> pi(1-t) - pi(1).  Both reject a
+path whose h dips inside that window; no path from a straight dominant one does.
+
+A crystal graph is a table of vertex numbers (``_Table``); its paths and
+weights are made from its arrows on first read.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add, sub
 
 from .rootdata import RootSystem
 
@@ -65,12 +63,8 @@ class Path:
         if any(len(step) != rank for step in steps):
             raise ValueError("a step of a rank-%r path needs %r coordinates" % (rank, rank))
         den = lcm(*(x.denominator for step in steps for x in step))
-        runs = []
-        for step in steps:
-            ints = [int(x * den) for x in step]
-            if g := gcd(*ints):
-                runs.append((g, tuple(x // g for x in ints)))
-        return _path(den, runs, rank)
+        ints = [[int(x * den) for x in step] for step in steps]
+        return _path(den, [(g, tuple(x // g for x in v)) for v in ints if (g := gcd(*v))], rank)
 
     def __reduce__(self):
         return _path, (self.den, self.runs, self.rank)
@@ -87,8 +81,7 @@ class Path:
 
     @classmethod
     def straight(cls, weight):
-        weight = tuple(weight)
-        return cls((weight,), len(weight))
+        return cls((weight := tuple(weight),), len(weight))
 
     def _total(self):
         return [sum(n * d[pos] for n, d in self.runs) for pos in range(self.rank)]
@@ -110,15 +103,10 @@ class Path:
                      self.rank)
 
 
-def _reversed(path):
-    """pi(1-t) - pi(1): the runs in reverse order with negated directions."""
-    return _path(path.den, [(n, tuple(-x for x in d)) for n, d in reversed(path.runs)],
-                 path.rank)
-
-
 def _scan(rs, i, path):
     """(M, the last corner where h = M, h(1)), in units of 1/den, in one pass."""
-    rs.check_node(i)
+    if rs.check_node(i) and path.rank != rs.rank:
+        raise ValueError("a rank-%r path on a rank-%d root system" % (path.rank, rs.rank))
     k, h, m, t = i - 1, 0, 0, 0
     for j, (n, d) in enumerate(path.runs, 1):
         h += n * d[k]
@@ -127,15 +115,10 @@ def _scan(rs, i, path):
     return m, t, h
 
 
-def _ratio(num, den):
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
 def _strings(rs, i, path):
-    """(eps_i, phi_i) = (-M, h(1) - M) from one ``_scan``: ints unless h is
-    off the integers (never on a crystal vertex), then Fractions."""
-    m, _, end = _scan(rs, i, path)
-    return _ratio(-m, path.den), _ratio(end - m, path.den)
+    """(eps_i, phi_i) from one ``_scan``; Fractions only off a crystal vertex."""
+    (m, _, end), d = _scan(rs, i, path), path.den
+    return [x // d if x % d == 0 else Fraction(x, d) for x in (-m, end - m)]
 
 
 def phi(rs: RootSystem, i: int, path: Path):
@@ -185,8 +168,10 @@ def root_operator_f(rs: RootSystem, i: int, path: Path):
 
 
 def root_operator_e(rs: RootSystem, i: int, path: Path):
-    up = _lower(rs, i, _reversed(path), "ascent inside the raising window")
-    return None if up is None else _reversed(up)
+    def rev(p):  # pi(1-t) - pi(1): the runs in reverse order with negated directions
+        return _path(p.den, [(n, tuple(-x for x in d)) for n, d in reversed(p.runs)], p.rank)
+    up = _lower(rs, i, rev(path), "ascent inside the raising window")
+    return None if up is None else rev(up)
 
 
 @dataclass(frozen=True)
@@ -195,17 +180,67 @@ class CrystalGraph:
     edges: tuple          # (source, target, label), target = f_label(source)
     highest: Path | None
 
+    def __getattr__(self, name):  # a built graph's fields, made from its table on first read
+        if name not in ("vertices", "edges", "highest") or "_table" not in (kept := vars(self)):
+            raise AttributeError(name)
+        t = kept["_table"]
+        p = kept.get("vertices") or kept.setdefault("vertices", t.read("paths"))
+        if name != "vertices":
+            kept[name] = (tuple((p[u], p[v], i) for u, v, i in t.arrows()) if name == "edges"
+                          else None if t.top < 0 else p[t.top])
+        return kept[name]
+
+    def __getstate__(self):  # the fields alone: no table is pickled or copied
+        return {"vertices": self.vertices, "edges": self.edges, "highest": self.highest}
+
+
+class _Table:
+    """A crystal graph as numbers: n vertices, arrows (u, v, i) in one flat int
+    array, the highest vertex's number top (-1: none).  Vertex k is kept[k] (k if
+    kept is None) of ``src``, shared by all tables cut from one crystal: its rank,
+    and makers of its "highest" weight (any cut's top), "paths" and "weights"."""
+    __slots__ = ("n", "flat", "top", "src", "kept")
+
+    def __init__(self, n, flat, top, src, kept=None):
+        self.n, self.top, self.src, self.kept = n, top, src, kept
+        self.flat = flat if type(flat) is array else array("i", flat)
+
+    def arrows(self):
+        return zip(*[iter(self.flat)] * 3)
+
+    def read(self, what):
+        if callable(got := self.src[what]):
+            got = self.src[what] = tuple(got())
+        return got if self.kept is None else tuple(got[k] for k in self.kept)
+
+    def graph(self) -> CrystalGraph:
+        g = object.__new__(CrystalGraph)
+        _set(g, "__dict__", {"_table": self})
+        return g
+
+
+def _table(b: CrystalGraph) -> _Table:
+    """b's table; a graph built by hand gets one from its fields on first use."""
+    if "_table" not in (kept := vars(b)):
+        index = dict(zip(paths := tuple(b.vertices), itertools.count()))
+        flat = [x for u, v, i in b.edges for x in (index.get(u, -1), index.get(v, -1), i)]
+        top = index.get(b.highest, -1 if b.highest is None else None)
+        if len(index) < len(paths) or top is None or -1 in flat[::3] + flat[1::3]:
+            raise ValueError("a crystal graph needs distinct vertices, with its ends among them")
+        kept["_table"] = _Table(len(paths), flat, top, {
+            "paths": paths, "weights": lambda: [p.weight() for p in paths],
+            "highest": lambda: paths[top].weight(), "rank": paths[0].rank if paths else None})
+    return kept["_table"]
+
 
 def _reach(starts, step) -> list:
-    """Vertices reachable from the distinct ``starts`` through ``step(u)``,
-    an iterable of the neighbours of u, in breadth-first discovery order.
-    Raises RuntimeError before a vertex past ``_VERTEX_BUDGET`` would be added."""
-    order, budget = list(starts), _VERTEX_BUDGET
-    seen = set(order)
+    """Vertices reachable from the distinct ``starts`` through ``step(u)`` (u's
+    neighbours), breadth first; RuntimeError before one past ``_VERTEX_BUDGET``."""
+    seen = set(order := list(starts))
     for u in order:  # order grows while it is read: it is the queue
         for v in step(u):
             if v not in seen:
-                if len(seen) >= budget:
+                if len(seen) >= _VERTEX_BUDGET:
                     raise RuntimeError("vertex budget exceeded")
                 seen.add(v)
                 order.append(v)
@@ -216,27 +251,26 @@ def _rows(rs, vertices, low=None):
     """Per node i a row per vertex b: (the number of f_i(b) among the
     vertices or -1, eps_i(b), phi_i(b)), all three read from the paths;
     f_i(b), None when phi_i(b) < 1, is low[b][i - 1] if ``low`` is given."""
-    index = {v: n for n, v in enumerate(vertices)}
+    index = dict(zip(vertices, itertools.count()))
     return [[(index.get(root_operator_f(rs, i, v) if low is None else low[v][i - 1], -1)
               if s[1] >= 1 else -1, *s)
              for v in vertices for s in [_strings(rs, i, v)]] for i in range(1, rs.rank + 1)]
 
 
 def _pairs(rows1, rows2, starts):
-    """The pair rule on pairs (x, y) of vertex numbers of two factors' rows:
-    f_i acts on x if phi_i(x) > eps_i(y), else on y; an arrow to -1 is dropped.
-    The pairs reachable from ``starts`` in ``_reach``'s order, and the arrows."""
-    arrows = []
-
+    """The pair rule on pairs (x, y) of vertex numbers of two factors' rows: f_i
+    acts on x if phi_i(x) > eps_i(y), else on y; an arrow to -1 is dropped.  The
+    pairs reachable from ``starts`` (``_reach``), and the arrows (k, c, i), flat."""
+    arrows, count, nodes = [], itertools.count(), tuple(enumerate(zip(rows1, rows2), 1))
     def lower(b):
         x, y = b
-        for i, (r1, r2) in enumerate(zip(rows1, rows2), 1):
+        k = next(count)  # _reach lowers the pairs in their order
+        for i, (r1, r2) in nodes:
             (f1, _, p1), (f2, e2, _) = r1[x], r2[y]
             if (f1 if p1 > e2 else f2) >= 0:
                 c = (f1, y) if p1 > e2 else (x, f2)
-                arrows.append((b, c, i))
+                arrows.extend((k, c, i))
                 yield c
-
     return _reach(starts, lower), arrows
 
 
@@ -246,57 +280,43 @@ def _fundamental(rs, j):
     memo = vars(rs).setdefault("_fundamental_crystals", {})
     if j not in memo:
         nodes, low = range(1, rs.rank + 1), {}  # low[u]: f_1(u), ..., f_rank(u)
-        top = Path.straight(int(k == j) for k in nodes)
-        order = _reach((top,), lambda u: filter(None, low.setdefault(
-            u, [root_operator_f(rs, i, u) for i in nodes])))
+        order = _reach((Path.straight(int(k == j) for k in nodes),), lambda u: filter(
+            None, low.setdefault(u, [root_operator_f(rs, i, u) for i in nodes])))
         rows = _rows(rs, order, low)  # its edges are the rows' f_i entries, in vertex order
-        edges = tuple((u, order[f], i) for n, u in enumerate(order)
-                      for i, row in enumerate(rows, 1) if (f := row[n][0]) >= 0)
-        memo[j] = CrystalGraph(tuple(order), edges, top), rows
+        memo[j] = CrystalGraph(tuple(order), tuple(
+            (u, order[f], i) for n, u in enumerate(order)
+            for i, row in enumerate(rows, 1) if (f := row[n][0]) >= 0), order[0]), rows
     return memo[j]
 
 
 def _product(rs, factors, memo, rows=True):
-    """The top component of B(omega_j1) * B(omega_j2) * ... for the nodes j
-    in ``factors``, in Littelmann's order, searched by ``_pairs`` on the two
-    halves' components: its edges (u, v, i) between the numbers of its vertices
-    in breadth-first order and (if ``rows``) its rows; memoised in ``memo``."""
+    """The top component of B(omega_j1) * B(omega_j2) * ... for the nodes j in
+    ``factors`` (Littelmann's order), searched by ``_pairs`` on its two halves:
+    its size, its arrows (u, v, i) flat, and its rows if ``rows``; memoised."""
     if len(factors) == 1:
-        return None, _fundamental(rs, factors[0])[1]
+        return None, None, _fundamental(rs, factors[0])[1]
     if factors not in memo:
-        half = len(factors) // 2
-        rows1, rows2 = (_product(rs, h, memo)[1]
-                        for h in (factors[:half], factors[half:]))
-        order, edges = _pairs(rows1, rows2, ((0, 0),))
-        index = {v: n for n, v in enumerate(order)}
-        edges = [(index[u], index[v], i) for u, v, i in edges]
-        memo[factors] = edges, None
+        half, table = len(factors) // 2, None
+        rows1, rows2 = (_product(rs, h, memo)[2] for h in (factors[:half], factors[half:]))
+        order, flat = _pairs(rows1, rows2, ((0, 0),))
+        flat[1::3] = map(dict(zip(order, itertools.count())).__getitem__, flat[1::3])
+        flat = array("i", flat)
         if rows:
-            f, table = {(u, i): v for u, v, i in edges}, [[] for _ in rows1]
+            f, table = dict(zip(zip(flat[::3], flat[2::3]), flat[1::3])), [[] for _ in rows1]
             for n, (x, y) in enumerate(order):
                 for i, (r1, r2, row) in enumerate(zip(rows1, rows2, table), 1):
                     (_, e1, p1), (_, e2, p2) = r1[x], r2[y]
                     row.append((f.get((n, i), -1), e1 + max(0, e2 - p1), p2 + max(0, p1 - e2)))
-            memo[factors] = edges, table
+        memo[factors] = len(order), flat, table
     return memo[factors]
 
 
 def build_crystal(rs: RootSystem, lam) -> CrystalGraph:
-    """B(lam): the closure of the straight path to ``lam`` under all lowering
-    operators, vertices in breadth-first order (nodes 1..rank from each).
-
-    It is searched as the top component of B(omega_1)^lam_1 *
-    B(omega_2)^lam_2 * ..., one factor per unit of lam in Littelmann's
-    concatenation order, bracketed in halves (see ``_product``) so that each
-    step reads two factors by the pair rule (``_pairs``), the concatenation
-    rule (f_i acts on the last factor k of least H_k - eps_i(b_k), H_k the
-    height where it starts) on two factors.  That component is B(lam) by the
-    isomorphism theorem (Littelmann, Ann. Math. 1995), so its graph and search
-    order are the closure's; a vertex's path is f_i of its parent's along its
-    discovery edge, the first edge that reaches it.  For |lam| <= 1 the
-    closure itself is run.  RuntimeError up front when dim V(lam) (Weyl) is
-    over ``_VERTEX_BUDGET`` vertices: a count, not a memory bound (A2 (99, 99) is
-    exactly 10^6 vertices, and its build runs out of a 512 MB address-space cap)."""
+    """B(lam): the closure of the straight path to ``lam`` under all f_i, vertices
+    in breadth-first order (nodes 1..rank from each), found as the top component
+    of B(omega_1)^lam_1 * B(omega_2)^lam_2 * ... by ``_product`` (README).  On first
+    read, v's path (weight) is f_i of u's (u's minus alpha_i) along v's discovery
+    edge (u, v, i).  RuntimeError up front when dim V(lam) is over the budget."""
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
@@ -306,96 +326,84 @@ def build_crystal(rs: RootSystem, lam) -> CrystalGraph:
     factors = tuple(j for j, c in enumerate(lam, 1) for _ in range(c))
     if len(factors) <= 1:  # the closure of omega_j, or of omega_0 = 0: one vertex
         return _fundamental(rs, sum(factors))[0]
-    edges = _product(rs, factors, {}, rows=False)[0]
-    paths = [Path.straight(lam)]
-    for u, v, i in edges:
-        if v == len(paths):  # the discovery edge of v
-            paths.append(root_operator_f(rs, i, paths[u]))
-    return CrystalGraph(tuple(paths), tuple((paths[u], paths[v], i) for u, v, i in edges),
-                        paths[0])
+    n, flat, _ = _product(rs, factors, {}, rows=False)
+    def make(first, lower):  # reads the arrows, not the table: no cycle to collect
+        out = [first]
+        for u, v, i in zip(*[iter(flat)] * 3):
+            if v == len(out):
+                out.append(lower(i, out[u]))
+        return out
+    return _Table(n, flat, 0, {"rank": rs.rank, "highest": lambda: lam, "paths": lambda: make(
+        Path.straight(lam), lambda i, p: root_operator_f(rs, i, p)), "weights": lambda: make(
+        lam, lambda i, w: tuple(map(sub, w, rs._alphas[i])))}).graph()
 
 
 def tensor_crystal(rs: RootSystem, b1: CrystalGraph, b2: CrystalGraph) -> CrystalGraph:
     """Concatenation model of the tensor product: vertices are the paths u*v,
-    u of b1 outer and v of b2 inner, in Littelmann's order.  The pair rule:
-    on a pair (b_1, b_2), f_i acts on b_1 if phi_i(b_1) > eps_i(b_2), else on
-    b_2, and the arrow is dropped when that f_i is undefined or not a vertex
-    of its factor.  ``build_crystal`` and ``tensor_crystal`` both use it; f_i,
-    eps_i and phi_i come from the paths, not the factors' edges.  RuntimeError
-    before any concatenation when the product has over ``_VERTEX_BUDGET`` vertices.
-    The order can decide a component (the README's "Conventions" has one)."""
-    n1, n2 = len(b1.vertices), len(b2.vertices)
-    if n1 * n2 > _VERTEX_BUDGET:
+    u of b1 outer and v of b2 inner, in Littelmann's order, made on first read;
+    arrows by the pair rule on the factors' paths (README, "Conventions").
+    RuntimeError before any concatenation past ``_VERTEX_BUDGET`` vertices.  The
+    u*v are compared only when b1's u differ in length: else all are distinct."""
+    t1, t2 = _table(b1), _table(b2)
+    if (n1 := t1.n) * (n2 := t2.n) > _VERTEX_BUDGET:
         raise RuntimeError("vertex budget exceeded")
-    verts = [u.concat(v) for u in b1.vertices for v in b2.vertices]
-    if len(set(verts)) != n1 * n2:
+    p1, p2 = b1.vertices, b2.vertices
+    if len({Fraction(sum(n for n, _ in p.runs), p.den) for p in p1}) > 1 and len(
+            {u.concat(v) for u in p1 for v in p2}) < n1 * n2:
         raise ValueError("distinct pairs of vertices give equal concatenations")
-    _, arrows = _pairs(_rows(rs, b1.vertices), _rows(rs, b2.vertices),
-                       itertools.product(range(n1), range(n2)))
-    edges = tuple((verts[x * n2 + y], verts[c * n2 + d], i) for (x, y), (c, d), i in arrows)
-    tops = (b1.highest, b2.highest)
-    return CrystalGraph(tuple(verts), edges, None if None in tops else tops[0].concat(tops[1]))
-
-
-def _edge_maps(b: CrystalGraph):
-    fmap = {(u, i): v for u, v, i in b.edges}
-    if len(fmap) != len(b.edges) or len({(v, i) for _, v, i in b.edges}) != len(b.edges):
-        raise ValueError("two arrows of one label leave or enter one vertex")
-    return fmap
+    _, flat = _pairs(_rows(rs, p1), _rows(rs, p2), itertools.product(range(n1), range(n2)))
+    flat[1::3] = [c * n2 + d for c, d in flat[1::3]]
+    top = t1.top * n2 + t2.top if min(t1.top, t2.top) >= 0 else -1
+    return _Table(n1 * n2, flat, top, {"rank": rs.rank, "highest": lambda: tuple(map(
+        add, t1.src["highest"](), t2.src["highest"]())),
+        "paths": lambda: [u.concat(v) for u in p1 for v in p2],
+        "weights": lambda: [tuple(map(add, w, x)) for w in t1.read("weights")
+                            for x in t2.read("weights")]}).graph()
 
 
 def demazure_subcrystal(rs: RootSystem, b: CrystalGraph, word, lam) -> CrystalGraph:
-    """Subgraph of the word's Demazure subcrystal: starting from the set
-    {highest vertex}, saturate by full f_i-strings for each letter of the
-    word, rightmost letter first.  A vertex survives exactly when maximal
-    raisings e_i^max applied letter by letter (leftmost letter last) return
-    it to the highest vertex.
-
-    Saturating by whole strings matters: a vertex may enter through the
-    interior of a string whose head lies above the extremal vertex, so the
-    result can be strictly larger than what raising walks from the extremal
-    vertex reach, and it grows monotonically as letters are appended."""
-    lam = tuple(lam)
-    fmap = _edge_maps(b)
-    top = b.highest if b.highest is not None else _vertex_of_weight(b, lam)
-    if top.weight() != lam:
-        raise ValueError("highest vertex has weight %r, expected %r"
-                         % (top.weight(), lam))
-    # words that are not reduced fail to land on the reflected weight
-    u = top
+    """The word's Demazure subcrystal: from {highest vertex}, saturate by full
+    f_i-strings for each letter, rightmost first (README).  A vertex survives
+    exactly when e_i^max, letter by letter (leftmost last), returns it to the top."""
+    lam, f = tuple(lam), (t := _table(b)).flat
+    fmap = dict(zip(zip(f[::3], f[2::3]), f[1::3]))
+    if len(fmap) < len(f) // 3 or len(set(zip(f[1::3], f[2::3]))) < len(fmap):
+        raise ValueError("two arrows of one label leave or enter one vertex")
+    top = t.top if t.top >= 0 else _vertex_of_weight(t, lam)
+    if (w := t.src["highest"]() if t.top >= 0 else lam) != lam:
+        raise ValueError("highest vertex has weight %r, expected %r" % (w, lam))
+    u = top  # words that are not reduced fail to land on the reflected weight
     for i in reversed(tuple(word)):
         rs.check_node(i)
         while (u, i) in fmap:
-            u = fmap[(u, i)]
-    target = tuple(rs.weyl_apply(tuple(word), lam))
-    if u.weight() != target:
-        raise ValueError("extremal weight %r not reached (got %r)"
-                         % (target, u.weight()))
+            u, w = fmap[(u, i)], tuple(map(sub, w, rs._alphas[i]))
+    if w != (target := tuple(rs.weyl_apply(tuple(word), lam))):
+        raise ValueError("extremal weight %r not reached (got %r)" % (target, w))
     keep = (top,)
     for i in reversed(tuple(word)):
         keep = _reach(keep, lambda u: (fmap[(u, i)],) if (u, i) in fmap else ())
-    return _restrict(b, set(keep))
+    return _restrict(t, keep)
 
 
-def _vertex_of_weight(b: CrystalGraph, weight) -> Path:
+def _vertex_of_weight(t: _Table, weight) -> int:
     """The unique vertex of the given weight; ValueError when there is none or more."""
-    matches = [v for v in b.vertices if v.weight() == weight]
-    if len(matches) != 1:
+    if len(matches := [k for k, w in enumerate(t.read("weights")) if w == weight]) != 1:
         raise ValueError("%d vertices of weight %r" % (len(matches), weight))
     return matches[0]
 
 
-def _restrict(b: CrystalGraph, keep) -> CrystalGraph:
-    """The subgraph on the vertex set keep, vertices and edges in b's order."""
-    return CrystalGraph(tuple(v for v in b.vertices if v in keep),
-                        tuple(e for e in b.edges if e[0] in keep and e[1] in keep),
-                        b.highest if b.highest in keep else None)
+def _restrict(t: _Table, keep) -> CrystalGraph:
+    """The subgraph on the vertex numbers in keep, vertices and arrows in t's order."""
+    new = dict(zip(kept := sorted(keep), itertools.count()))
+    return _Table(len(kept), [x for u, v, i in t.arrows() if u in new and v in new
+                              for x in (new[u], new[v], i)], new.get(t.top, -1), t.src,
+                  array("i", kept if t.kept is None else [t.kept[k] for k in kept])).graph()
 
 
-def _undirected(b: CrystalGraph):
+def _undirected(n, arrows):
     """The neighbours of a vertex, arrows taken both ways, as a function."""
-    adj = collections.defaultdict(list)
-    for u, v, _ in b.edges:
+    adj = [[] for _ in range(n)]
+    for u, v, _ in arrows:
         adj[u].append(v)
         adj[v].append(u)
     return adj.__getitem__
@@ -403,27 +411,21 @@ def _undirected(b: CrystalGraph):
 
 def component_of(b: CrystalGraph, weight) -> CrystalGraph:
     """Undirected connected component of the unique vertex of the given weight."""
-    start = _vertex_of_weight(b, tuple(weight))
-    return _restrict(b, set(_reach((start,), _undirected(b))))
+    start = _vertex_of_weight(t := _table(b), tuple(weight))
+    return _restrict(t, _reach((start,), _undirected(t.n, t.arrows())))
 
 
 def filter_arrows(b: CrystalGraph, nodes) -> CrystalGraph:
-    nodes = set(nodes)
-    return CrystalGraph(b.vertices, tuple(e for e in b.edges if e[2] in nodes), b.highest)
+    nodes, t = set(nodes), _table(b)
+    return _Table(t.n, [x for e in t.arrows() if e[2] in nodes for x in e], t.top, t.src,
+                  t.kept).graph()
 
 
 def weight_graph(b: CrystalGraph):
-    """Collapse the graph to the weight level: vertices become the distinct
-    weights (multiplicities dropped), edges the distinct triples
-    (source weight, target weight, label).
-
-    This is the bullet-diagram view, useful for eyeballing small examples.
-    It is a lossy projection, not a crystal: two vertices of equal weight
-    are merged, so string lengths and the weight rule for eps/phi are not
-    preserved."""
-    weights = tuple(sorted({v.weight() for v in b.vertices}))
-    edges = tuple(sorted({(u.weight(), v.weight(), i) for u, v, i in b.edges}))
-    return weights, edges
+    """The bullet-diagram view: the distinct weights and the distinct (source
+    weight, target weight, label) triples.  Lossy: vertices of equal weight merge."""
+    ws = (t := _table(b)).read("weights")
+    return tuple(sorted(set(ws))), tuple(sorted({(ws[u], ws[v], i) for u, v, i in t.arrows()}))
 
 
 @dataclass(frozen=True)
@@ -434,31 +436,29 @@ class DecompositionPiece:
 
 
 def crystal_decomposition(b: CrystalGraph, nodes):
-    """Split the graph along arrows labeled by ``nodes`` and report each
-    component by the weight of its unique source (restricted to the nodes),
-    its vertex count, and its multiplicity."""
+    """Split the graph along arrows labeled by ``nodes``; report each component by
+    its unique source's weight on the nodes, its size and its multiplicity.  A node
+    is an int >= 1, not a bool, <= the rank (an empty hand-built graph takes 7)."""
+    t = _table(b)
     for i in (nodes := tuple(nodes)):  # each node, before True == 1 merges them
-        if b.vertices and (type(i) is not int or not 1 <= i <= b.vertices[0].rank):
+        if type(i) is not int or i < 1 or i > (t.src["rank"] or i):
             raise ValueError("node %r is not a finite node" % (i,))
     nodes = tuple(sorted(set(nodes)))
-    fb = filter_arrows(b, nodes)
-    incoming = collections.Counter(v for _, v, _ in fb.edges)
-    pieces = collections.Counter()
-    step, remaining = _undirected(fb), set(fb.vertices)
+    arrows = [e for e in t.arrows() if e[2] in nodes]
+    incoming, pieces, ws = {v for _, v, _ in arrows}, collections.Counter(), t.read("weights")
+    step, remaining = _undirected(t.n, arrows), set(range(t.n))
     while remaining:  # one connected component per round
-        comp = set(_reach((remaining.pop(),), step))
-        remaining -= comp
-        sources = [v for v in comp if incoming[v] == 0]
+        comp = _reach((remaining.pop(),), step)
+        remaining.difference_update(comp)
+        sources = [v for v in comp if v not in incoming]
         if len(sources) != 1:
             raise ValueError("component with %d sources" % len(sources))
-        wt = sources[0].weight()
-        pieces[(tuple(wt[i - 1] for i in nodes), len(comp))] += 1
-    return tuple(DecompositionPiece(w, s, c)
-                 for (w, s), c in sorted(pieces.items()))
+        pieces[(tuple(ws[sources[0]][i - 1] for i in nodes), len(comp))] += 1
+    return tuple(DecompositionPiece(w, s, c) for (w, s), c in sorted(pieces.items()))
 
 
 def to_dot(b: CrystalGraph) -> str:
-    index = {v: pos for pos, v in enumerate(b.vertices)}
-    lines = ['  v%d [label="%s"];' % (pos, str(v.weight())) for v, pos in index.items()]
-    lines += ['  v%d -> v%d [label="%d"];' % (index[u], index[v], i) for u, v, i in b.edges]
+    ws = (t := _table(b)).read("weights")
+    lines = ['  v%d [label="%s"];' % (k, str(w)) for k, w in enumerate(ws)]
+    lines += ['  v%d -> v%d [label="%d"];' % e for e in t.arrows()]
     return "\n".join(["digraph crystal {", *lines, "}"]) + "\n"

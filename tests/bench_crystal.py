@@ -15,6 +15,13 @@ The tensor timings take ``tensor_crystal`` of two crystals plus
 which finds the same component by the pair search from its top pair alone.
 The factors are built before the timing.
 
+The all-read timings take one item of the crystal-check workload, with every
+path read as its summary reads them: ``build_crystal``, the Demazure
+subcrystal of a word, the tensor product of two Demazure subcrystals of
+fundamental crystals and its top component, then every vertex's ``weight()``
+and every edge of the three graphs.  A crystal's paths are made on first
+read, so this is the figure to set beside a timing of the calls alone.
+
 The operator timings take one ``root_operator_f`` call per (vertex, node) of
 D4 (1,1,1,1), 16,384 calls, and one per discovery edge of that crystal (the
 first edge into each vertex, the call ``build_crystal`` makes), 4,095 calls,
@@ -27,7 +34,8 @@ import pytest
 
 import fraction_crystal
 import path_closure_reference as reference
-from demazure.crystal import build_crystal, component_of, root_operator_f, tensor_crystal
+from demazure.crystal import (build_crystal, component_of, demazure_subcrystal,
+                              root_operator_f, tensor_crystal)
 from demazure.rootdata import root_system
 
 WEIGHTS = [("A", 2, (n, n)) for n in (2, 4, 8, 12)] + [("B", 3, (0, 2, 1)),
@@ -67,6 +75,38 @@ def test_tensor_component(benchmark, how, family, rank, lam, nu):
         benchmark(build_crystal, rs, top)
     else:
         benchmark(tensor_component, rs, b1, b2, top)
+
+
+# (type, rank, lambda, word, (fundamental weight, word) for each tensor factor)
+ALL_READ = [("D", 4, (1, 1, 1, 1), (1, 2, 3, 4), (((1, 0, 0, 0), (1, 2)), ((0, 0, 1, 0), (3,)))),
+            ("B", 3, (0, 2, 1), (2, 3, 1), (((1, 0, 0), (1, 2)), ((0, 0, 1), (3,)))),
+            ("A", 2, (8, 8), (1, 2), (((1, 0), (1, 2)), ((0, 1), (2,))))]
+
+
+def read_all(b):
+    """The vertex weights in discovery order and the edges by vertex number."""
+    index = {v: n for n, v in enumerate(b.vertices)}
+    return (tuple(v.weight() for v in b.vertices),
+            tuple((index[u], index[v], i) for u, v, i in b.edges))
+
+
+def crystal_check_item(rs, lam, word, factors):
+    full = build_crystal(rs, lam)
+    sub = demazure_subcrystal(rs, full, word, lam)
+    subs = [demazure_subcrystal(rs, build_crystal(rs, mu), w, mu) for mu, w in factors]
+    top = tuple(map(sum, zip(*(mu for mu, _ in factors))))
+    comp = component_of(tensor_crystal(rs, *subs), top)
+    return [read_all(b) for b in (full, sub, comp)]
+
+
+@pytest.mark.parametrize("family,rank,lam,word,factors", ALL_READ,
+                         ids=["%s%d-%s" % (f, n, ",".join(map(str, lam)))
+                              for f, n, lam, _, _ in ALL_READ])
+def test_all_read(benchmark, family, rank, lam, word, factors):
+    rs = root_system(family, rank)
+    weights, edges = crystal_check_item(rs, lam, word, factors)[0]
+    assert len(weights) == len(reference.build_crystal(rs, lam).vertices)
+    benchmark(crystal_check_item, rs, lam, word, factors)
 
 
 def operator_calls(b, which):
