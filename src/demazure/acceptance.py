@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from .admissibility import balanced_split, candidate_splits, is_r_admissible, profile_bound_scan
+from .admissibility import candidate_splits, is_r_admissible, profile_bound_scan
 from .characters import (GradedCharacter, _apply_word, _decode, demazure_character,
                          demazure_operator, embedding_certificate,
                          finite_character, g0_branch)
-from .crystal import (build_crystal, component_of, demazure_subcrystal,
-                      tensor_crystal)
+from .crystal import _table, build_crystal, component_of, demazure_subcrystal, tensor_crystal
 from .relations import (IsoClass, convexity_report, demazure_p, expand_x_element,
                         is_partition, mmmr_classify, s_sets, sm_pair, xi_tuple)
 from .rootdata import Root, root_system
@@ -37,16 +36,15 @@ def worked_example_a2():
 
     d1 = demazure_subcrystal(rs, build_crystal(rs, (1, 0)), (2, 1), (1, 0))
     d2 = demazure_subcrystal(rs, build_crystal(rs, (0, 1)), (2,), (0, 1))
-    comp = component_of(tensor_crystal(rs, d1, d2), mu)
+    comp = _table(component_of(tensor_crystal(rs, d1, d2), mu))
     want_edges = (((-1, 2), (0, 0), 2), ((0, 0), (1, -2), 2),
                   ((1, 1), (-1, 2), 1), ((1, 1), (2, -1), 2),
                   ((2, -1), (0, 0), 1))
-    got_edges = tuple(sorted((u.weight(), v.weight(), i)
-                             for u, v, i in comp.edges))
-    edges_ok = got_edges == want_edges
-    count_ok = len(comp.vertices) == 5
+    ws = comp.read("weights")
+    edges_ok = tuple(sorted((ws[u], ws[v], i) for u, v, i in comp.arrows())) == want_edges
+    count_ok = comp.n == 5
     notes.append("component: %d vertices (want 5), weight-level edges %s"
-                 % (len(comp.vertices), "match" if edges_ok else "differ"))
+                 % (comp.n, "match" if edges_ok else "differ"))
     if not count_ok:
         # The expected diagram identifies vertices by weight and is not a
         # seminormal crystal (its (0,0) node would need eps_1 = 1 but
@@ -125,22 +123,13 @@ def embedding_grid():
 def balanced_splits_type_a():
     """Type A ranks 1-3: the balanced split has pairing spread <= 1 on all
     positive roots and is 1-admissible, for dominant coords <= 4, k <= 3."""
-    bad_spread, bad_adm = [], []
-    total = 0
-    for rank in (1, 2, 3):
-        rs = root_system("A", rank)
-        for lam in itertools.product(range(5), repeat=rank):
-            for k in (1, 2, 3):
-                total += 1
-                # the split is preadmissible, so its report has every profile
-                rep = is_r_admissible(rs, lam, balanced_split(rs, lam, k), 1)
-                bad_spread += [(rank, lam, k, rec.profile.root)
-                               for rec in rep.records if rec.profile.t > 1]
-                if not rep.admissible:
-                    bad_adm.append((rank, lam, k))
+    records = [rec for rank in (1, 2, 3)
+               for rec in profile_bound_scan(root_system("A", rank), 4, 3).records]
+    bad_spread = sum(rec.t_max > 1 for rec in records)
+    bad_adm = sum(not rec.admissible_1 for rec in records)
     ok = not bad_spread and not bad_adm
     detail = ("%d cases: spread counterexamples %d, admissibility "
-              "counterexamples %d" % (total, len(bad_spread), len(bad_adm)))
+              "counterexamples %d" % (len(records), bad_spread, bad_adm))
     return "balanced-splits-type-a", ok, detail
 
 
@@ -222,7 +211,7 @@ def crystal_dimensions():
         rs = root_system(family, rank)
         for lam in itertools.product(range(4), repeat=rank):
             total += 1
-            got = len(build_crystal(rs, lam).vertices)
+            got = _table(build_crystal(rs, lam)).n
             want = finite_character(rs, lam).dimension()
             if got != want:
                 mismatches.append((family, rank, lam, got, want))

@@ -43,7 +43,7 @@ from threading import Lock
 
 from .admissibility import AdmissibilityReport, _fill, is_r_admissible
 from .rootdata import RootSystem
-from .weights import AffineWeight, _walk, dominance_algorithm
+from .weights import AffineWeight, _affine_node, _walk, dominance_algorithm
 
 _TERM_BUDGET = 3 * 10**5  # output terms summed over one character's operators
 _MEMO_TERMS = 1 << 16  # terms the certificate memo keeps, summed over its characters
@@ -163,15 +163,15 @@ def _apply_word(rs: RootSystem, word, char: GradedCharacter):
     applied to, so no field overflows, and reach grows by at most one step
     per emitted term."""
     n, word, budget = rs.rank, tuple(word), _TERM_BUDGET
-    if bad := [i for i in word if not 0 <= i <= n]:
-        raise ValueError("node %r out of range" % (bad[0],))
+    for i in word:
+        _affine_node(rs, i)
     theta_co, rows = rs.coroot_vector(rs.theta), {}
     for term, mult in char.terms.items():
         fin, lvl, grade = term
         fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
-        if not all(isinstance(c, int) for c in (*fin, lvl, grade)):
-            raise ValueError("term %r has a coordinate, level or grade that is not an int"
-                             % (term,))
+        if not all(isinstance(c, int) for c in (*fin, lvl, grade, mult)):
+            raise ValueError("term %r with multiplicity %r has an entry that is not an int"
+                             % (term, mult))
         # _pack reads a key (a, b, c) as fields a, c, b: fin, grade, level, h_0 pairing
         rows[((*fin, grade), lvl - sum(map(mul, fin, theta_co)), lvl)] = mult
     top = max(abs(c) for alpha in rs._alphas for c in alpha)

@@ -20,7 +20,7 @@ from .acceptance import run_all
 from .admissibility import (_admissible_candidates, balanced_split,
                             candidate_splits, is_r_admissible)
 from .characters import demazure_character, embedding_certificate
-from .crystal import (build_crystal, component_of, crystal_decomposition,
+from .crystal import (_table, build_crystal, component_of, crystal_decomposition,
                       demazure_subcrystal, tensor_crystal, to_dot)
 from .relations import (demazure_p, generalized_weyl_p, relations_M,
                         relations_Mpp, relations_Mprime,
@@ -224,7 +224,7 @@ def _cmd_crystal(a, rs) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return 1
     pieces = None if a.decompose is None else crystal_decomposition(b, a.decompose)
-    index = {v: pos for pos, v in enumerate(b.vertices)}
+    t = _table(b)
     if a.dot is not None:
         text = to_dot(b)
         if a.dot == "-":
@@ -233,12 +233,10 @@ def _cmd_crystal(a, rs) -> int:
             with open(a.dot, "w") as fh:
                 fh.write(text)
     if a.json:
-        out = {
-            "vertices": [{"index": index[v], "weight": list(v.weight())}
-                         for v in b.vertices],
-            "edges": [[index[u], index[v], i] for u, v, i in b.edges],
-            "highest": index.get(b.highest),
-        }
+        out = {"vertices": [{"index": k, "weight": list(w)}
+                            for k, w in enumerate(t.read("weights"))],
+               "edges": [list(e) for e in t.arrows()],
+               "highest": None if t.top < 0 else t.top}
         if pieces is not None:
             out["decomposition"] = [
                 {"weight": list(piece.weight), "size": piece.size,
@@ -246,7 +244,7 @@ def _cmd_crystal(a, rs) -> int:
                 for piece in pieces]
         _emit(out)
     elif a.dot is None:
-        print("%d vertices, %d edges" % (len(b.vertices), len(b.edges)))
+        print("%d vertices, %d edges" % (t.n, len(t.flat) // 3))
         for piece in pieces or ():
             print("source %s  size %d  count %d"
                   % (piece.weight, piece.size, piece.count))

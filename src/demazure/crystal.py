@@ -221,10 +221,10 @@ class _Table:
 
 def _table(b: CrystalGraph) -> _Table:
     """b's table; a graph built by hand gets one from its fields on first use."""
-    if "_table" not in (kept := vars(b)):
-        index = dict(zip(paths := tuple(b.vertices), itertools.count()))
-        flat = [x for u, v, i in b.edges for x in (index.get(u, -1), index.get(v, -1), i)]
-        top = index.get(b.highest, -1 if b.highest is None else None)
+    if "_table" not in (kept := vars(b)):  # built by hand: its fields are in kept
+        index = dict(zip(paths := tuple(kept["vertices"]), itertools.count()))
+        flat = [x for u, v, i in kept["edges"] for x in (index.get(u, -1), index.get(v, -1), i)]
+        top = index.get(h := kept["highest"], -1 if h is None else None)
         if len(index) < len(paths) or top is None or -1 in flat[::3] + flat[1::3]:
             raise ValueError("a crystal graph needs distinct vertices, with its ends among them")
         kept["_table"] = _Table(len(paths), flat, top, {
@@ -416,7 +416,13 @@ def component_of(b: CrystalGraph, weight) -> CrystalGraph:
 
 
 def filter_arrows(b: CrystalGraph, nodes) -> CrystalGraph:
-    nodes, t = set(nodes), _table(b)
+    """b with only the arrows labeled by ``nodes``.  A node is an int >= 1, not a
+    bool, <= the rank (an empty hand-built graph knows no rank, so it takes 7)."""
+    t = _table(b)
+    for i in (nodes := tuple(nodes)):  # each node, before True == 1 merges them
+        if type(i) is not int or i < 1 or i > (t.src["rank"] or i):
+            raise ValueError("node %r is not a finite node" % (i,))
+    nodes = set(nodes)
     return _Table(t.n, [x for e in t.arrows() if e[2] in nodes for x in e], t.top, t.src,
                   t.kept).graph()
 
@@ -437,14 +443,10 @@ class DecompositionPiece:
 
 def crystal_decomposition(b: CrystalGraph, nodes):
     """Split the graph along arrows labeled by ``nodes``; report each component by
-    its unique source's weight on the nodes, its size and its multiplicity.  A node
-    is an int >= 1, not a bool, <= the rank (an empty hand-built graph takes 7)."""
-    t = _table(b)
-    for i in (nodes := tuple(nodes)):  # each node, before True == 1 merges them
-        if type(i) is not int or i < 1 or i > (t.src["rank"] or i):
-            raise ValueError("node %r is not a finite node" % (i,))
-    nodes = tuple(sorted(set(nodes)))
-    arrows = [e for e in t.arrows() if e[2] in nodes]
+    its unique source's weight on the nodes, its size and its multiplicity.  Nodes
+    are refused as in ``filter_arrows``, which keeps the arrows to split along."""
+    t = _table(filter_arrows(b, nodes := tuple(nodes)))
+    nodes, arrows = tuple(sorted(set(nodes))), list(t.arrows())
     incoming, pieces, ws = {v for _, v, _ in arrows}, collections.Counter(), t.read("weights")
     step, remaining = _undirected(t.n, arrows), set(range(t.n))
     while remaining:  # one connected component per round

@@ -61,11 +61,18 @@ def _signed_positions(pairs, order=None):
             yield j, "-", pair
 
 
+def _affine_node(rs: RootSystem, i) -> int:
+    """i itself; ValueError unless it is an affine node: an int in 0..rank, not a bool."""
+    if type(i) is not int or not 0 <= i <= rs.rank:
+        raise ValueError("node %r is not an affine node of 0..%d" % (i, rs.rank))
+    return i
+
+
 def affine_pairing(rs: RootSystem, w: AffineWeight, i: int) -> int:
     """Pairing of w with the coroot h_i, i in 0..rank; ValueError for any other node."""
-    if i == 0:
+    if _affine_node(rs, i) == 0:
         return w.level - rs.pairing(w.finite, rs.theta)
-    return w.finite[rs.check_node(i) - 1]
+    return w.finite[i - 1]
 
 
 def affine_reflect(rs: RootSystem, i: int, w: AffineWeight) -> AffineWeight:
@@ -87,9 +94,10 @@ def _walk(v, alphas, nodes, pick=None):
         negative = [i for i in nodes if v[i - 1] < 0]
         if not negative:
             return v, tuple(word)
-        i = negative[0] if pick is None else pick(negative)
-        if not 0 <= i < len(alphas):
-            raise ValueError("node %r is not a node of 0..%d" % (i, len(alphas) - 1))
+        if pick is None:
+            i = negative[0]
+        elif type(i := pick(negative)) is not int or i not in negative:
+            raise ValueError("node %r is not one of the negative nodes %r" % (i, negative))
         v = tuple(map(sub, v, map(mul, repeat(v[i - 1]), alphas[i])))
         word.append(i)
     raise RuntimeError("dominance walk exceeded step limit")

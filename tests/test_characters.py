@@ -90,6 +90,21 @@ def test_operator_string_cases():
         demazure_operator(A2, 3, GradedCharacter.from_weight((0, 0), 1))
 
 
+@pytest.mark.parametrize("i", [True, False, 1.0, 0.0, -1, 3])
+def test_operator_nodes_are_ints_in_0_to_rank(i):
+    with pytest.raises(ValueError, match=r"node .* is not an affine node of 0\.\.2"):
+        demazure_operator(A2, i, GradedCharacter.from_weight((1, 0), 1))
+
+
+@pytest.mark.parametrize("mult", [1.5, "x"])
+def test_operator_refuses_a_multiplicity_that_is_not_an_int(mult):
+    char = GradedCharacter({((1, 0), 1, 0): mult})
+    with pytest.raises(ValueError, match="multiplicity .* is not an int"):
+        demazure_operator(A2, 1, char)
+    with pytest.raises(ValueError, match="not an int"):
+        char.tensor(GradedCharacter.from_weight((0, 0), 1))
+
+
 def test_operator_node_zero_moves_grade():
     c = demazure_operator(A1, 0, GradedCharacter.from_weight((0,), 1, 1))
     assert c.terms == {((0,), 1, 1): 1, ((2,), 1, 0): 1}

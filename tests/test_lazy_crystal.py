@@ -3,10 +3,15 @@ against the path-keyed reference (``graph_reference`` and
 ``path_closure_reference``): equal under ``==``, ``hash``, ``repr``, a pickle
 round trip and ``copy.deepcopy``, whichever field is read first or none.
 Also the checks of the path operators and of ``crystal_decomposition`` on
-every input, and the bytes an unread crystal keeps."""
+every input, the bytes an unread crystal keeps, and that the ``crystal``
+subcommand and the ``crystal-dimensions`` criterion read no path unless a
+tensor product needs its factors' paths."""
 
+import collections
 import copy
 import gc
+import json
+import pathlib
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +20,8 @@ import pytest
 
 import graph_reference as ref
 import path_closure_reference as closure
-from demazure import crystal
+from demazure import acceptance, crystal
+from demazure.cli import main
 from demazure.crystal import (CrystalGraph, Path, build_crystal, component_of,
                               crystal_decomposition, demazure_subcrystal, eps,
                               filter_arrows, phi, root_operator_e, root_operator_f,
@@ -23,6 +29,8 @@ from demazure.crystal import (CrystalGraph, Path, build_crystal, component_of,
 from demazure.rootdata import root_system
 
 A2 = root_system("A", 2)
+CLI_CRYSTAL = json.loads((pathlib.Path(__file__).resolve().parent / "data"
+                          / "crystal_cli.json").read_text())
 
 # (type, rank, lambda, a reduced word, the node j of the fundamental factor)
 CASES = [("A", 2, (2, 1), (1, 2), 2), ("G", 2, (1, 1), (2, 1), 1),
@@ -169,12 +177,15 @@ def test_paths_of_another_rank_are_refused(operator, i, path):
 EMPTY = CrystalGraph((), (), None)
 
 
-@pytest.mark.parametrize("nodes", [(0,), (7, 0), (-1,), (True,), (1.0,), ("1",), (None,)])
-@pytest.mark.parametrize("graph", [EMPTY, CrystalGraph((Path.straight((1, 0)),), (), None)],
-                         ids=["empty", "one-vertex"])
+@pytest.mark.parametrize("nodes", [(0,), (7, 0), (-1,), (True,), (1.0,), ("1",), (None,),
+                                   ("x",)])
+@pytest.mark.parametrize("graph", [EMPTY, CrystalGraph((Path.straight((1, 0)),), (), None),
+                                   build_crystal(A2, (1, 0))],
+                         ids=["empty", "one-vertex", "built"])
 def test_decomposition_checks_every_node_on_every_graph(graph, nodes):
-    with pytest.raises(ValueError, match="is not a finite node"):
-        crystal_decomposition(graph, nodes)
+    for call in (crystal_decomposition, filter_arrows):
+        with pytest.raises(ValueError, match="is not a finite node"):
+            call(graph, nodes)
 
 
 def test_an_empty_graph_built_by_hand_cannot_refuse_a_large_node():
@@ -190,8 +201,9 @@ def test_an_empty_graph_built_by_hand_cannot_refuse_a_large_node():
     lambda: CrystalGraph((Path.straight((1, 0)),), (), None)],
     ids=["built", "filtered", "tensor", "by-hand"])
 def test_decomposition_refuses_nodes_over_the_rank(graph):
-    with pytest.raises(ValueError, match="node 3 is not a finite node"):
-        crystal_decomposition(graph(), (1, 3))
+    for call in (crystal_decomposition, filter_arrows):
+        with pytest.raises(ValueError, match="node 3 is not a finite node"):
+            call(graph(), (1, 3))
 
 
 U, V = Path.straight((1, 0)), Path.straight((0, 1))
@@ -214,3 +226,30 @@ def test_a_graph_built_by_hand_makes_no_weight_before_one_is_needed():
     assert filter_arrows(graph, (1,)) == graph
     with pytest.raises(ValueError, match="non-integral point"):
         demazure_subcrystal(A2, graph, (), (1, 0))
+
+
+def _count_field_reads(monkeypatch):
+    """A counter of the reads of any graph's vertices, edges or highest."""
+    reads, get = collections.Counter(), object.__getattribute__
+
+    def counting(self, name):
+        if name in ("vertices", "edges", "highest"):
+            reads[name] += 1
+        return get(self, name)
+    monkeypatch.setattr(CrystalGraph, "__getattribute__", counting)
+    return reads
+
+
+def test_crystal_dimensions_reads_no_path(monkeypatch):
+    reads = _count_field_reads(monkeypatch)
+    assert acceptance.crystal_dimensions()[1]
+    assert not reads
+
+
+@pytest.mark.parametrize("entry", CLI_CRYSTAL, ids=[e["name"] for e in CLI_CRYSTAL])
+def test_crystal_output_reads_paths_only_for_a_tensor(monkeypatch, capsys, entry):
+    reads = _count_field_reads(monkeypatch)
+    assert main(list(entry["argv"])) == entry["exit_code"]
+    capsys.readouterr()
+    # tensor_crystal reads its factors' paths (README, "Conventions")
+    assert bool(reads) == ("--tensor" in entry["argv"] and entry["exit_code"] != 2)

@@ -40,19 +40,21 @@ def test_affine_pairing_node0():
     assert affine_pairing(rs, w, 2) == -2
 
 
-@pytest.mark.parametrize("i", [-1, 3, 5])
+@pytest.mark.parametrize("i", [-1, 3, 5, True, False, 1.0, 0.0, "0"])
 def test_affine_pairing_rejects_nodes_outside_0_to_rank(i):
     rs = root_system("A", 2)
     w = AffineWeight((1, -2), 2, 0)
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match=r"node .* is not an affine node of 0\.\.2"):
         affine_pairing(rs, w, i)
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match=r"node .* is not an affine node of 0\.\.2"):
         affine_reflect(rs, i, w)
 
 
-@pytest.mark.parametrize("node", [-1, 3])
+# True and 1.0 equal node 1 but are not ints; 0 and 1 are nodes, but the walk offers
+# only node 2, the one negative pairing of (1, -2) at level 2
+@pytest.mark.parametrize("node", [-1, 3, True, 1.0, 2.0, 0, 1])
 def test_dominance_rejects_a_pick_outside_0_to_rank(node):
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match="node .* is not one of the negative nodes"):
         dominance_algorithm(root_system("A", 2), AffineWeight((1, -2), 2, 0),
                             pick=lambda negative: node)
 
