@@ -24,18 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
 
-from .rootdata import Root, RootSystem, _at_least_1
+from .rootdata import Root, RootSystem, _at_least, _fill
 from .weights import finite_dominance
 
 _CANDIDATE_BUDGET = 10**5  # candidates in a row a search for a 1-admissible split may reject
 _PAIRINGS_BOUND = 1 << 12  # (root system, part) pairs whose pairings _part_pairings keeps
-
-
-def _fill(cls, **fields):
-    """cls(**fields) for a frozen dataclass, without its __init__: fields is its __dict__."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class RootProfile:
         return tuple(self.values.count(x - j) for j in range(self.t + 1))
 
     def m(self, r: int) -> int:
-        _at_least_1("r", r)
+        _at_least("r", r)
         return (self.x - 1) % (self.d * r) + 1
 
     def weighted_count(self) -> int:
@@ -121,13 +114,12 @@ def _part_pairings(rs: RootSystem, *part) -> tuple[int, ...]:
     return rs.pairings(rs.check_weight(part))
 
 
-def _pass(rs: RootSystem, mu, split, r=1):
-    """Check r (an int >= 1) and the split, and walk the roots once.  Returns
-    mu, the parts, the sign witnesses (root, part index, pairing) and, when
-    there are none, (root, column, sign, d, x, lo, total) per (root, sign) of
+def _pass(rs: RootSystem, mu, split):
+    """Check the split and walk the roots once.  Returns mu, the parts, the
+    sign witnesses (root, part index, pairing) and, when there are none,
+    (root, column, sign, d, x, lo, total) per (root, sign) of
     signed_roots(rs, mu): the profile's values are the column of part pairings
     for '-' and its negatives for '+', with max x, min lo and sum total."""
-    _at_least_1("r", r)
     if len(split) < 1:
         raise ValueError("split needs at least one part")
     rows = [_part_pairings(rs, *part) for part in split]
@@ -184,7 +176,8 @@ def is_r_admissible(rs: RootSystem, mu, split, r: int) -> AdmissibilityReport:
     Condition A (both signs): m(r) * k > sum_j j * counts[j].
     Condition B (roots with mu(h_alpha) > k*d*r only): x >= t + d*r.
     """
-    mu, parts, witnesses, signed = _pass(rs, mu, split, r)
+    _at_least("r", r)
+    mu, parts, witnesses, signed = _pass(rs, mu, split)
     k = len(parts)
     ok = not witnesses and all(False not in _conditions(k, r, sign, d, x, lo, total)
                                for _, _, sign, d, x, lo, total in signed)
@@ -204,6 +197,8 @@ def minimal_r(rs: RootSystem, mu, split, r_max: int | None = None):
     <= d*r; while q = (x - 1) // (d*r) stays fixed, m(r) = x - q*d*r falls,
     so A fails to the end of that block; B fails until k*d*r >= sum(values).
     """
+    if r_max is not None:
+        _at_least("r_max", r_max, 0)
     _, parts, witnesses, signed = _pass(rs, mu, split)
     if witnesses:
         return None
@@ -245,7 +240,7 @@ def enumerate_dominant_splits(rs: RootSystem, lam, k: int):
     lam = rs.check_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("enumerate_dominant_splits needs a dominant weight")
-    _at_least_1("k", k)
+    _at_least("k", k)
 
     def nodes(combo):
         if len(combo) == len(lam):
@@ -295,7 +290,7 @@ def balanced_split(rs: RootSystem, mu, k: int) -> tuple[tuple[int, ...], ...]:
     coordinatewise quotient by k, then hand out the remainder one
     fundamental weight at a time round-robin (the pointer runs on across
     nodes), and pull back."""
-    _at_least_1("k", k)
+    _at_least("k", k)
     lam, word = finite_dominance(rs, mu)
     boxes = [[c // k for c in lam] for _ in range(k)]
     pointer = 0
@@ -334,6 +329,8 @@ def profile_bound_scan(rs: RootSystem, coord_bound: int, k_bound: int) -> ScanRe
     """Balanced-split profiles over all dominant weights with coordinates
     <= coord_bound and 1 <= k <= k_bound: records the largest spread t and
     whether non-1-admissible cases exhibit a profile with t = 2, m(1) = 1."""
+    _at_least("coord_bound", coord_bound, 0)
+    _at_least("k_bound", k_bound, 0)
     records = []
     for lam in itertools.product(range(coord_bound + 1), repeat=rs.rank):
         for k in range(1, k_bound + 1):

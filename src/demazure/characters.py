@@ -41,8 +41,8 @@ from operator import add, ge, lshift, mul, sub
 from struct import iter_unpack
 from threading import Lock
 
-from .admissibility import AdmissibilityReport, _fill, is_r_admissible
-from .rootdata import RootSystem
+from .admissibility import AdmissibilityReport, is_r_admissible
+from .rootdata import RootSystem, _fill
 from .weights import AffineWeight, _affine_node, _walk, dominance_algorithm
 
 _TERM_BUDGET = 3 * 10**5  # output terms summed over one character's operators
@@ -98,10 +98,8 @@ class GradedCharacter:
         ranks = {len(f) for f, _, _ in self.terms} | {len(f) for f, _, _ in other.terms}
         if len(ranks) > 1:
             raise ValueError("tensor of characters of different ranks %r" % sorted(ranks))
-        if not all(isinstance(c, int) for char in (self, other)
-                   for (fin, lvl, grade), mult in char.terms.items()
-                   for c in (*fin, lvl, grade, mult)):
-            raise ValueError("tensor of characters with an entry that is not an int")
+        for term, mult in (*self.terms.items(), *other.terms.items()):
+            _check_term(term, mult)
         n = ranks.pop()
         return _decode(_product([_pack(self.terms), _pack(other.terms)], n), n)
 
@@ -114,6 +112,13 @@ class GradedCharacter:
     def __repr__(self):
         return "GradedCharacter(<%d terms, dim %d>)" % (len(self.terms),
                                                         self.dimension())
+
+
+def _check_term(term, mult) -> None:
+    """ValueError unless the term's coordinates, level, grade and mult are of type int: no bool."""
+    if not all(type(c) is int for c in (*term[0], *term[1:], mult)):
+        raise ValueError("term %r with multiplicity %r has an entry that is not an int"
+                         % (term, mult))
 
 
 def _width(reach: int) -> int:
@@ -169,9 +174,7 @@ def _apply_word(rs: RootSystem, word, char: GradedCharacter):
     for term, mult in char.terms.items():
         fin, lvl, grade = term
         fin = fin if len(fin) == n else rs.check_weight(fin)  # raises ValueError
-        if not all(isinstance(c, int) for c in (*fin, lvl, grade, mult)):
-            raise ValueError("term %r with multiplicity %r has an entry that is not an int"
-                             % (term, mult))
+        _check_term(term, mult)
         # _pack reads a key (a, b, c) as fields a, c, b: fin, grade, level, h_0 pairing
         rows[((*fin, grade), lvl - sum(map(mul, fin, theta_co)), lvl)] = mult
     top = max(abs(c) for alpha in rs._alphas for c in alpha)

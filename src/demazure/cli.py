@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from .acceptance import run_all
 from .admissibility import (_admissible_candidates, balanced_split,
                             candidate_splits, is_r_admissible)
 from .characters import demazure_character, embedding_certificate
@@ -252,6 +251,7 @@ def _cmd_crystal(a, rs) -> int:
 
 
 def _cmd_reproduce(a, rs) -> int:
+    from .acceptance import run_all
     rows = run_all(a.seed)
     width = max(len(name) for name, _, _ in rows)
     for name, ok, detail in rows:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, sub
 
-from .rootdata import RootSystem
+from .rootdata import RootSystem, _fill
 
 _set = object.__setattr__
 _VERTEX_BUDGET = 10 ** 6  # vertices one crystal, product or traversal may hold
@@ -214,9 +214,7 @@ class _Table:
         return got if self.kept is None else tuple(got[k] for k in self.kept)
 
     def graph(self) -> CrystalGraph:
-        g = object.__new__(CrystalGraph)
-        _set(g, "__dict__", {"_table": self})
-        return g
+        return _fill(CrystalGraph, _table=self)
 
 
 def _table(b: CrystalGraph) -> _Table:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
-from .rootdata import Root, RootSystem, _at_least_1
+from .rootdata import Root, RootSystem, _at_least
 from .weights import _signed_positions
 
 _TUPLE_BUDGET = 10**5  # minimal tuples (M) or monomials (Mpp) one relation set may generate
@@ -113,7 +113,7 @@ def _family(kind: str, rs: RootSystem, mu, k, shape) -> PFamily:
 
 def demazure_p(rs: RootSystem, mu, k: int) -> PFamily:
     """The graded family p(s) = max{0, x - d_alpha*k*s} for level k >= 1."""
-    _at_least_1("k", k)
+    _at_least("k", k)
     return _family("demazure", rs, mu, k, lambda sign, d: (d * k, 0))
 
 
@@ -400,9 +400,8 @@ def sm_pair(x: int, step: int) -> tuple[int, int]:
     """The unique (s, m) with x = (s-1)*step + m and 0 < m <= step.
 
     x = 0 is the degenerate case (0, step)."""
-    _at_least_1("step", step)
-    if type(x) is not int or x < 0:
-        raise ValueError("x must be an int >= 0, not %r" % (x,))
+    _at_least("step", step)
+    _at_least("x", x, 0)
     if x == 0:
         return 0, step
     s = -(-x // step)
@@ -426,7 +425,7 @@ def simplified_demazure_relations(rs: RootSystem, mu, k: int) -> tuple[Relation,
     At level k = 1 the annihilator is a consequence unless d_alpha > 1 and
     the power unless d_alpha = 3 = m + 2; those come tagged 'redundant-k1'.
     """
-    _at_least_1("k", k)
+    _at_least("k", k)
     return _with_annihilators(_key_walk(rs, rs.check_weight(mu)), partial(_sm_rows, k=k),
                               ("mathieu",))
 

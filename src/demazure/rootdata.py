@@ -57,10 +57,17 @@ _FAMILIES = {
 }
 
 
-def _at_least_1(name, value):
-    """ValueError unless value is an int >= 1: of type int itself, so not a bool or a float."""
-    if type(value) is not int or value < 1:
-        raise ValueError("%s must be an int >= 1, not %r" % (name, value))
+def _at_least(name, value, least=1):
+    """ValueError unless value is an int >= least: of type int itself, so not a bool or a float."""
+    if type(value) is not int or value < least:
+        raise ValueError("%s must be an int >= %d, not %r" % (name, least, value))
+
+
+def _fill(cls, **fields):
+    """cls(**fields) for a frozen dataclass, without its __init__: fields is its __dict__."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 @dataclass(frozen=True, order=True)
@@ -82,12 +89,16 @@ class Root:
 
 
 def _dynkin(family: str, rank: int) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """Diagram edges (0-based) and the length data d_i = 2/(alpha_i,alpha_i)."""
+    """Diagram edges (0-based) and the length data d_i = 2/(alpha_i,alpha_i), built
+    only once the rank is valid and its positive roots are within _ROOT_BUDGET."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    ranks_ok, _, edges, d = _FAMILIES[family]
+    ranks_ok, npos, edges, d = _FAMILIES[family]
     if type(rank) is not int or not ranks_ok(rank):  # not a bool or a float either
         raise ValueError(f"rank {rank} invalid for family {family}")
+    if (npos := npos(rank)) > _ROOT_BUDGET:
+        raise ValueError(f"{family}{rank} has {npos} positive roots, more than the "
+                         f"budget of {_ROOT_BUDGET}")
     return edges(rank), d(rank)
 
 
@@ -106,10 +117,6 @@ class RootSystem:
 
     def __init__(self, family: str, rank: int):
         edges, d_simple = _dynkin(family, rank)
-        npos = _FAMILIES[family][1](rank)
-        if npos > _ROOT_BUDGET:
-            raise ValueError(f"{family}{rank} has {npos} positive roots, more than the "
-                             f"budget of {_ROOT_BUDGET}")
         self.family = family
         self.rank = rank
         self.d_simple = d_simple

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, sub
 
-from .rootdata import Root, RootSystem, _at_least_1
+from .rootdata import Root, RootSystem, _at_least
 
 _STEP_LIMIT = 10**6  # safety guard for the dominance walk
 
@@ -113,7 +113,7 @@ def dominance_algorithm(rs: RootSystem, w: AffineWeight, *, pick=None):
     smallest index); any choice reaches the same Lambda.
     """
     fin, n = rs.check_weight(w.finite), rs.rank
-    _at_least_1("level", w.level)
+    _at_least("level", w.level)
     v, word = _walk(fin + (w.degree, affine_pairing(rs, w, 0)), rs._alphas, range(n + 1), pick)
     return AffineWeight(v[:n], w.level, v[n]), word
 

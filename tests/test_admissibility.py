@@ -48,6 +48,41 @@ def test_r_must_be_an_int(r):
         is_r_admissible(C2, (2, 1), ((1, 1), (1, 0)), r)
 
 
+def test_r_is_checked_before_the_split():
+    """A bad split and a bad r: the r error, as when the pass checked r first."""
+    with pytest.raises(ValueError, match="r must be an int >= 1, not True"):
+        is_r_admissible(C2, (2, 1), ((1, 1), (1, 1)), True)
+    with pytest.raises(ValueError, match="r must be an int >= 1, not 0"):
+        is_r_admissible(C2, (2, 1), (), 0)
+
+
+@pytest.mark.parametrize("r_max", ("x", True, 2.0, -1))
+def test_minimal_r_takes_an_int_r_max(r_max):
+    """'x' once raised a bare TypeError, True acted as 1 and 2.0 as 2."""
+    with pytest.raises(ValueError, match="r_max must be an int >= 0, not %r" % (r_max,)):
+        minimal_r(C2, (2, 1), ((1, 1), (1, 0)), r_max)
+
+
+def test_minimal_r_at_r_max_0_scans_nothing():
+    assert minimal_r(C2, (2, 1), ((2, 1),), 0) is None
+    assert minimal_r(C2, (2, 1), ((2, 1),), 1) == 1
+
+
+@pytest.mark.parametrize("bounds, name, bad", [
+    ((1.5, 1), "coord_bound", 1.5), ((True, 1), "coord_bound", True),
+    ((-1, 1), "coord_bound", -1), ((1, 2.0), "k_bound", 2.0), ((1, True), "k_bound", True),
+    ((1, "1"), "k_bound", "1")])
+def test_profile_bound_scan_takes_int_bounds(bounds, name, bad):
+    """1.5 once raised a bare TypeError from range."""
+    with pytest.raises(ValueError, match="%s must be an int >= 0, not %r" % (name, bad)):
+        profile_bound_scan(A2, *bounds)
+
+
+def test_profile_bound_scan_at_zero_bounds():
+    assert profile_bound_scan(A2, 0, 0).records == ()
+    assert [rec.lam for rec in profile_bound_scan(A2, 0, 1).records] == [(0, 0)]
+
+
 @pytest.mark.parametrize("r", (1.5, True, 0))
 def test_profile_m_takes_an_int_r(r):
     """m(1.5) once gave a float and m(True) acted as m(1)."""

@@ -128,6 +128,31 @@ def test_operator_rejects_terms_that_are_not_int(term):
         assert repr(term) in str(err.value)
 
 
+def test_a_bool_entry_is_refused():
+    """A bool once passed as 0 or 1: the operator gave {((1, 0), 1, 0): 1,
+    ((-1, 1), 1, 0): 1} and the tensor {((1, 0), 2, 0): 1}."""
+    char = GradedCharacter({((True, 0), 1, 0): True})
+    with pytest.raises(ValueError, match="not an int"):
+        demazure_operator(A2, 1, char)
+    with pytest.raises(ValueError, match="not an int"):
+        char.tensor(GradedCharacter.from_weight((0, 0), 1))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("slot", ["coordinate", "level", "grade", "multiplicity"])
+def test_each_entry_must_be_an_int(slot, bad):
+    """One rule for the operator at every node 0..rank and for the tensor, on either side."""
+    term = {"coordinate": ((1, bad), 1, 0), "level": ((1, 0), bad, 0),
+            "grade": ((1, 0), 1, bad), "multiplicity": ((1, 0), 1, 0)}[slot]
+    char = GradedCharacter({((0, 0), 1, 0): 1, term: bad if slot == "multiplicity" else 2})
+    one = GradedCharacter.from_weight((0, 0), 1)
+    calls = [lambda i=i: demazure_operator(A2, i, char) for i in range(A2.rank + 1)]
+    for call in calls + [lambda: char.tensor(one), lambda: one.tensor(char)]:
+        with pytest.raises(ValueError, match="has an entry that is not an int") as err:
+            call()
+        assert repr(term) in str(err.value)
+
+
 def test_frozen_a1_character():
     c = demazure_character(A1, (2,), 1)
     assert c.terms == {((2,), 1, 0): 1, ((0,), 1, 1): 1}

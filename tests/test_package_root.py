@@ -67,3 +67,15 @@ def test_import_loads_no_submodule_until_a_name_is_read():
     assert proc.stdout.splitlines() == [
         "[]", "True", "demazure.crystal demazure.rootdata",
         "['demazure.crystal', 'demazure.rootdata']"]
+
+
+def test_cli_import_loads_no_acceptance():
+    """Only ``reproduce`` reads the acceptance criteria, so only it imports them."""
+    script = ("import sys, demazure.cli\n"
+              "print('demazure.acceptance' in sys.modules)\n"
+              "demazure.cli.main(['rootdata', '--type', 'A', '--rank', '1'])\n"
+              "print('demazure.acceptance' in sys.modules)\n")
+    proc = run_capped("-c", script, timeout=60)[0]
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"

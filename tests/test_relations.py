@@ -382,6 +382,12 @@ def test_sm_pair_takes_ints(x, step):
         sm_pair(x, step)
 
 
+@pytest.mark.parametrize("x", [3.0, -1, True])
+def test_sm_pair_x_text(x):
+    with pytest.raises(ValueError, match="^x must be an int >= 0, not %r$" % (x,)):
+        sm_pair(x, 2)
+
+
 def test_sm_recombination():
     """x = (s-1)L + m splits consistently: dropping j from x moves the
     stage down by q-1 or q according to the remainder overflow."""
